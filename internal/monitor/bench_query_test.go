@@ -8,6 +8,7 @@ import (
 	"math"
 	"math/rand"
 	"net"
+	"runtime"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -19,8 +20,9 @@ import (
 
 // The query-plane benchmarks behind BENCH_query.json: concurrent query
 // throughput through the pipelined protocol (8 clients, 1 vs 16 requests
-// in flight per connection), Gorilla decode cost per sample, and the
-// replica layer's compression ratio on realistic trace data.
+// in flight per connection), the client-visible fleet pull, Gorilla decode
+// cost per sample, and the replica layer's compression ratio on realistic
+// trace data.
 
 // benchQueryWarehouse builds a warehouse holding `servers` servers with a
 // 30-day hourly history — the paper's planning window, so every series
@@ -42,10 +44,16 @@ func benchQueryWarehouse(b *testing.B, servers int) string {
 			})
 		}
 	}
+	return benchServeQueries(b, w)
+}
+
+// benchServeQueries turns the replica layer on (publishing w as it stands)
+// and serves w over the query protocol until the benchmark ends.
+func benchServeQueries(b *testing.B, w *Warehouse) (addr string) {
+	b.Helper()
 	if err := w.EnableReplicas(ReplicaConfig{NoBackground: true}); err != nil {
 		b.Fatal(err)
 	}
-	w.PublishReplicas()
 	qs := NewQueryServer(w)
 	addr, err := qs.Listen("127.0.0.1:0")
 	if err != nil {
@@ -153,6 +161,70 @@ func BenchmarkQueryThroughput(b *testing.B) {
 		b.Run(fmt.Sprintf("clients=%d/inflight=%d", shape.clients, shape.inflight), func(b *testing.B) {
 			benchQueryThroughput(b, shape.clients, shape.inflight)
 		})
+	}
+}
+
+// BenchmarkFetchSet is the planner's pull as the planner pays for it: the
+// paper's data center A (816 servers) x 30 days of hourly means over
+// 15-minute samples, through QueryClient.FetchSet — request encode, server
+// aggregation and response encode, and the client's decode into a trace
+// set. BenchmarkQueryThroughput above counts newlines on memo hits and so
+// by construction sees neither the encode nor the client; this is the
+// layer number that reconciles with fetch_set_ms_p50 on the closed-loop
+// benchmark's query-fleet workload. Every iteration starts on a fresh
+// replica generation (one more sample per server, republished, off the
+// clock), as every controller interval does. Uses only the public client,
+// so the same file times the revision before the packed payload.
+func BenchmarkFetchSet(b *testing.B) {
+	const (
+		servers = 816
+		hours   = 30 * 24
+		perHour = 4
+		step    = time.Hour / perHour
+	)
+	w := NewWarehouse(0)
+	ids := make([]trace.ServerID, servers)
+	specs := make(map[trace.ServerID]trace.Spec, servers)
+	sample := func(s, i int) Sample {
+		return Sample{
+			Server:            ids[s],
+			Timestamp:         benchEpoch.Add(time.Duration(i) * step),
+			TotalProcessorPct: float64((s*37+i)%1009) * 0.0991,
+			MemCommittedMB:    1024 + float64((s+i*53)%4096)/7,
+		}
+	}
+	for s := range ids {
+		ids[s] = trace.ServerID(fmt.Sprintf("fleet-%03d", s))
+		specs[ids[s]] = trace.Spec{CPURPE2: 11900, MemMB: 131072}
+		for i := 0; i < hours*perHour; i++ {
+			w.Ingest(sample(s, i))
+		}
+	}
+	c, err := DialQuery(context.Background(), benchServeQueries(b, w))
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer c.Close()
+
+	b.ReportAllocs()
+	b.ResetTimer()
+	for n := 0; n < b.N; n++ {
+		b.StopTimer()
+		for s := range ids {
+			w.Ingest(sample(s, hours*perHour+n))
+		}
+		w.PublishReplicas()
+		// The store is ~1 GB of heap; a collection the republish set off
+		// would otherwise bill its mark assists to the pull.
+		runtime.GC()
+		b.StartTimer()
+		set, err := c.FetchSet("A", specs, benchEpoch)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if got := set.Servers[servers-1].Series.Len(); len(set.Servers) != servers || got < hours {
+			b.Fatalf("fetched %d servers, last series %d hours", len(set.Servers), got)
+		}
 	}
 }
 

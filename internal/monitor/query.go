@@ -4,10 +4,13 @@ import (
 	"bufio"
 	"bytes"
 	"context"
+	"encoding/base64"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"slices"
 	"strconv"
@@ -29,7 +32,7 @@ import (
 //	{"op":"stats"}                          -> {"ok":true,"stats":{...}}
 //	{"op":"series","server":"x",
 //	 "cpuRPE2":2000,"memMB":16384,
-//	 "epoch":"2012-06-04T00:00:00Z"}        -> {"ok":true,"samples":[...]}
+//	 "epoch":"2012-06-04T00:00:00Z"}        -> {"ok":true,"usage":"..."}
 //	{"op":"range","server":"x",
 //	 "from":1338768000000000000,
 //	 "to":1338771600000000000}              -> {"ok":true,"points":[...]}
@@ -46,6 +49,19 @@ import (
 // Reads are served from the snapshot replica layer when the warehouse has
 // one (bounded staleness, lock-free, bit-identical math); a request with
 // "consistent":true always hits the live shards.
+//
+// A series travels as bits, not decimal text: "usage" is one base64 string
+// (standard alphabet, padded) over 16 bytes per hour — the hourly mean's CPU
+// then Mem float64, each little-endian IEEE 754 — oldest hour first. The
+// layer's contract is already exactness (a replica answer is bit-identical
+// to the live one), so the wire carries the bits: -0, subnormals, NaN
+// payloads and infinities arrive as they were computed, and neither end
+// formats or parses a float. A series response is always exactly
+//
+//	{"id":N,"ok":true,"usage":"<base64>"}
+//
+// (no id on a lockstep request), which is what lets the client recognise
+// the line and decode it without a JSON parse; see decodeSeriesLine.
 //
 // Errors come back as {"ok":false,"error":"..."} and keep the connection
 // usable for further requests.
@@ -74,43 +90,150 @@ type queryRequest struct {
 	Host        string `json:"host,omitempty"`
 }
 
-// querySample is one hourly aggregate on the wire.
-type querySample struct {
-	CPU float64 `json:"cpu"`
-	Mem float64 `json:"mem"`
-}
-
-// queryResponse is the wire format of one response. Samples is kept as raw
-// JSON so the server can splice in a payload memoized on the replica
-// snapshot without re-marshaling it per request.
+// queryResponse is the wire format of one response, on both ends of the
+// connection. Each end has one way around encoding/json for the series
+// payload, which is most of the bytes the protocol moves.
 type queryResponse struct {
 	ID      uint64           `json:"id,omitempty"`
 	OK      bool             `json:"ok"`
 	Error   string           `json:"error,omitempty"`
 	Servers []trace.ServerID `json:"servers,omitempty"`
 	Stats   *Stat            `json:"stats,omitempty"`
-	Samples json.RawMessage  `json:"samples,omitempty"`
-	Points  []RangePoint     `json:"points,omitempty"`
-	Advice  *Advice          `json:"advice,omitempty"`
+	// Usage is a series' packed hourly samples (see appendUsage).
+	Usage  string       `json:"usage,omitempty"`
+	Points []RangePoint `json:"points,omitempty"`
+	Advice *Advice      `json:"advice,omitempty"`
 
 	// body, when set server-side, is the pre-marshaled response line after
-	// its opening brace (a replica cache hit); the writer splices the id in
-	// front instead of marshaling the struct. Never serialized itself.
+	// its opening brace (every series answer; memoized on the snapshot for a
+	// replica one); the writer splices the id in front instead of marshaling
+	// the struct. Never serialized itself.
 	body []byte
+	// samples, when set client-side, is Usage already unpacked: the reader
+	// recognised a series line and skipped the JSON parse (decodeSeriesLine).
+	samples []trace.Usage
 }
 
-// clientResponse is the client's decode target: the same wire shape as
-// queryResponse but with samples parsed in place, so a series response
-// costs one JSON parse, not a raw capture plus a second parse.
-type clientResponse struct {
-	ID      uint64           `json:"id,omitempty"`
-	OK      bool             `json:"ok"`
-	Error   string           `json:"error,omitempty"`
-	Servers []trace.ServerID `json:"servers,omitempty"`
-	Stats   *Stat            `json:"stats,omitempty"`
-	Samples []querySample    `json:"samples,omitempty"`
-	Points  []RangePoint     `json:"points,omitempty"`
-	Advice  *Advice          `json:"advice,omitempty"`
+// usageWireBytes is one hourly sample on the wire: CPU then Mem, float64
+// little-endian.
+const usageWireBytes = 16
+
+// usageBlock is how many samples are packed or unpacked per base64 call.
+// Its byte length is a multiple of 3, so encoded blocks concatenate with no
+// padding between them and the result is the encoding of the whole.
+const (
+	usageBlock      = 48
+	usageBlockBytes = usageBlock * usageWireBytes
+	usageBlockChars = usageBlockBytes / 3 * 4
+)
+
+// appendUsage appends the wire form of samples — base64 over their
+// little-endian float64 pairs — to dst. It is the one series encoder: live
+// and replica answers both come from it.
+func appendUsage(dst []byte, samples []trace.Usage) []byte {
+	dst = slices.Grow(dst, base64.StdEncoding.EncodedLen(len(samples)*usageWireBytes))
+	var raw [usageBlockBytes]byte
+	for len(samples) > 0 {
+		k := min(usageBlock, len(samples))
+		for i, u := range samples[:k] {
+			binary.LittleEndian.PutUint64(raw[i*usageWireBytes:], math.Float64bits(u.CPU))
+			binary.LittleEndian.PutUint64(raw[i*usageWireBytes+8:], math.Float64bits(u.Mem))
+		}
+		dst = base64.StdEncoding.AppendEncode(dst, raw[:k*usageWireBytes])
+		samples = samples[k:]
+	}
+	return dst
+}
+
+// seriesBody is a series response line after its opening brace — exactly
+// the bytes json.Marshal(queryResponse{OK: true, Usage: ...}) produces,
+// minus that brace — ready for writeResp to splice an id in front.
+func seriesBody(samples []trace.Usage) []byte {
+	const head, tail = `"ok":true,"usage":"`, `"}`
+	body := make([]byte, 0, len(head)+base64.StdEncoding.EncodedLen(len(samples)*usageWireBytes)+len(tail))
+	body = append(body, head...)
+	body = appendUsage(body, samples)
+	return append(body, tail...)
+}
+
+var errUsagePayload = errors.New("monitor: malformed series payload")
+
+// unpackUsage is appendUsage's inverse. Anything but a whole number of
+// samples in one padded base64 string is an error, never a short series.
+func unpackUsage(b64 []byte) ([]trace.Usage, error) {
+	n := len(b64) / 4 * 3
+	for p := 1; p <= 2 && p <= len(b64) && b64[len(b64)-p] == '='; p++ {
+		n--
+	}
+	if len(b64)%4 != 0 || n%usageWireBytes != 0 {
+		return nil, errUsagePayload
+	}
+	out := make([]trace.Usage, n/usageWireBytes)
+	var raw [usageBlockBytes]byte
+	for rest := out; len(rest) > 0; {
+		k := min(usageBlock, len(rest))
+		chunk := b64[:min(usageBlockChars, len(b64))]
+		b64 = b64[len(chunk):]
+		// The decoder skips \r and \n; the count check refuses what it skipped.
+		if m, err := base64.StdEncoding.Decode(raw[:], chunk); err != nil || m != k*usageWireBytes {
+			return nil, errUsagePayload
+		}
+		for i := range rest[:k] {
+			rest[i] = trace.Usage{
+				CPU: math.Float64frombits(binary.LittleEndian.Uint64(raw[i*usageWireBytes:])),
+				Mem: math.Float64frombits(binary.LittleEndian.Uint64(raw[i*usageWireBytes+8:])),
+			}
+		}
+		rest = rest[k:]
+	}
+	return out, nil
+}
+
+// decodeSeriesLine is the client's fast path for the one line shape that
+// carries nearly all of the protocol's bytes,
+//
+//	{"id":N,"ok":true,"usage":"<base64>"}
+//
+// optionally newline-terminated. Like the ingest decoder in wire.go it
+// accepts exactly what the server emits or declines: on any deviation — a
+// zero or zero-led id, another key, an escape, a byte outside the base64
+// alphabet, a payload that is not whole samples — ok is false and the line
+// is encoding/json's to judge, so the two can never disagree on a line
+// (FuzzSeriesLine holds them to that).
+func decodeSeriesLine(line []byte) (id uint64, samples []trace.Usage, ok bool) {
+	const head, mid, tail = `{"id":`, `,"ok":true,"usage":"`, `"}`
+	line = bytes.TrimSuffix(line, []byte{'\n'})
+	if !bytes.HasPrefix(line, []byte(head)) || !bytes.HasSuffix(line, []byte(tail)) {
+		return 0, nil, false
+	}
+	rest := line[len(head) : len(line)-len(tail)]
+	i := 0
+	for i < len(rest) && rest[i] >= '0' && rest[i] <= '9' {
+		id = id*10 + uint64(rest[i]-'0')
+		i++
+	}
+	// 19 digits cannot overflow a uint64; ids count requests on one
+	// connection and never get there.
+	if i == 0 || i > 19 || rest[0] == '0' || !bytes.HasPrefix(rest[i:], []byte(mid)) {
+		return 0, nil, false
+	}
+	samples, err := unpackUsage(rest[i+len(mid):])
+	if err != nil {
+		return 0, nil, false
+	}
+	return id, samples, true
+}
+
+// decodeResponseLine decodes one response line: series lines through the
+// fast path, everything else — and anything the fast path declined —
+// through encoding/json.
+func decodeResponseLine(line []byte) (queryResponse, error) {
+	if id, samples, ok := decodeSeriesLine(line); ok {
+		return queryResponse{ID: id, OK: true, samples: samples}, nil
+	}
+	var resp queryResponse
+	err := json.Unmarshal(line, &resp)
+	return resp, err
 }
 
 // DefaultQueryWorkers sizes the pipelined worker pool when Workers is 0.
@@ -521,10 +644,11 @@ func (qs *QueryServer) serveConn(conn net.Conn) {
 	}
 }
 
-// readQueryLine returns the next newline-terminated request, tolerating
-// lines larger than the reader's buffer up to maxLine (scratch carries the
-// reassembly buffer between calls). A trailing unterminated line at EOF is
-// returned as a final request, matching the scanner this replaced.
+// readQueryLine returns the next newline-terminated line — a request on the
+// server, a response on the client — tolerating lines larger than the
+// reader's buffer up to maxLine (scratch carries the reassembly buffer
+// between calls). A trailing unterminated line at EOF is returned as a
+// final line, matching the scanner this replaced.
 func readQueryLine(rd *bufio.Reader, scratch *[]byte, maxLine int) ([]byte, error) {
 	line, err := rd.ReadSlice('\n')
 	if err == nil || (err == io.EOF && len(line) > 0) {
@@ -538,7 +662,7 @@ func readQueryLine(rd *bufio.Reader, scratch *[]byte, maxLine int) ([]byte, erro
 		line, err = rd.ReadSlice('\n')
 		buf = append(buf, line...)
 		if len(buf) > maxLine {
-			return nil, errors.New("monitor: request line too long")
+			return nil, errors.New("monitor: line too long")
 		}
 		switch {
 		case err == nil, err == io.EOF && len(buf) > 0:
@@ -576,10 +700,9 @@ func (qs *QueryServer) handle(req queryRequest) queryResponse {
 		}
 		spec := trace.Spec{CPURPE2: req.CPURPE2, MemMB: req.MemMB}
 		if useRep {
-			// Replica answers come pre-marshaled: the response body is
-			// memoized on the immutable snapshot generation, so repeated
-			// questions (every planner pulls the same fleet each interval)
-			// skip the aggregation and the entire response encode.
+			// Replica answers are memoized on the immutable snapshot
+			// generation, so repeated questions (every planner pulls the same
+			// fleet each interval) skip the aggregation and the encode.
 			body, err := rep.seriesJSON(req.Server, spec, req.Epoch, req.LastHours)
 			if err != nil {
 				return queryResponse{Error: err.Error()}
@@ -590,15 +713,7 @@ func (qs *QueryServer) handle(req queryRequest) queryResponse {
 		if err != nil {
 			return queryResponse{Error: err.Error()}
 		}
-		samples := make([]querySample, series.Len())
-		for i, u := range series.Samples {
-			samples[i] = querySample{CPU: u.CPU, Mem: u.Mem}
-		}
-		data, err := json.Marshal(samples)
-		if err != nil {
-			return queryResponse{Error: err.Error()}
-		}
-		return queryResponse{OK: true, Samples: data}
+		return queryResponse{OK: true, body: seriesBody(series.Samples)}
 	case "range":
 		if req.Server == "" {
 			return queryResponse{Error: "range: missing server"}
@@ -675,12 +790,18 @@ type QueryClient struct {
 	nextID atomic.Uint64
 
 	mu      sync.Mutex
-	pending map[uint64]chan clientResponse
+	pending map[uint64]chan queryResponse
 	readErr error
 
 	readerOnce sync.Once
 	done       chan struct{}
 }
+
+// maxResponseLineBytes bounds one response line; a longer one ends the
+// connection, as an oversized request does on the server. A year of hourly
+// series is under 200 KB and a month of per-minute range points under
+// 3 MB, so this is far past anything the server answers with.
+const maxResponseLineBytes = 64 << 20
 
 // DialQuery connects to a query server.
 func DialQuery(ctx context.Context, addr string) (*QueryClient, error) {
@@ -688,14 +809,18 @@ func DialQuery(ctx context.Context, addr string) (*QueryClient, error) {
 	if err != nil {
 		return nil, fmt.Errorf("monitor: dial query server: %w", err)
 	}
+	return newQueryClient(conn), nil
+}
+
+func newQueryClient(conn net.Conn) *QueryClient {
 	bw := bufio.NewWriterSize(conn, 16<<10)
 	return &QueryClient{
 		conn:    conn,
 		bw:      bw,
 		enc:     json.NewEncoder(bw),
-		pending: make(map[uint64]chan clientResponse),
+		pending: make(map[uint64]chan queryResponse),
 		done:    make(chan struct{}),
-	}, nil
+	}
 }
 
 // Close releases the connection; in-flight calls fail.
@@ -705,16 +830,27 @@ func (c *QueryClient) Close() error { return c.conn.Close() }
 // client that is dialed but never used costs no goroutine.
 func (c *QueryClient) startReader() {
 	go func() {
-		dec := json.NewDecoder(bufio.NewReader(c.conn))
+		// A 30-day series line is 15 KB; longer lines (a year of hours, a
+		// wide range read) are reassembled in overflow.
+		rd := bufio.NewReaderSize(c.conn, 64<<10)
+		var overflow []byte
 		for {
-			var resp clientResponse
-			if err := dec.Decode(&resp); err != nil {
+			line, err := readQueryLine(rd, &overflow, maxResponseLineBytes)
+			var resp queryResponse
+			if err == nil {
+				resp, err = decodeResponseLine(line)
+			}
+			if err != nil {
+				// The stream is lost past this point — EOF, an oversized
+				// line, bytes that are not a response: every call fails and
+				// the connection ends.
 				c.mu.Lock()
 				if c.readErr == nil {
 					c.readErr = fmt.Errorf("monitor: read response: %w", err)
 				}
 				c.mu.Unlock()
 				close(c.done)
+				c.conn.Close()
 				return
 			}
 			c.mu.Lock()
@@ -728,40 +864,54 @@ func (c *QueryClient) startReader() {
 	}()
 }
 
-func (c *QueryClient) roundTrip(req queryRequest) (clientResponse, error) {
-	c.readerOnce.Do(c.startReader)
-	id := c.nextID.Add(1)
-	req.ID = id
-	req.Consistent = req.Consistent || c.Consistent
-	ch := make(chan clientResponse, 1)
-	c.mu.Lock()
-	if c.readErr != nil {
-		err := c.readErr
-		c.mu.Unlock()
-		return clientResponse{}, err
-	}
-	c.pending[id] = ch
-	c.mu.Unlock()
-
+// send writes one request. Under concurrent use the requests of calls
+// queued behind each other leave in one write.
+func (c *QueryClient) send(req queryRequest) error {
 	c.sending.Add(1)
 	c.wmu.Lock()
+	defer c.wmu.Unlock()
 	if c.Timeout > 0 {
-		c.conn.SetWriteDeadline(time.Now().Add(c.Timeout))
+		if err := c.conn.SetWriteDeadline(time.Now().Add(c.Timeout)); err != nil {
+			// A connection that cannot arm its write deadline must not write
+			// without one — the server's rule. Requests other calls have
+			// buffered behind this one cannot leave either, so the
+			// connection ends and they fail through the reader.
+			c.sending.Add(-1)
+			c.conn.Close()
+			return err
+		}
 	}
 	err := c.enc.Encode(req)
 	// Flush only when no other call is waiting to append its request —
-	// under concurrent use the last writer in line carries the batch out.
+	// the last writer in line carries the batch out.
 	if c.sending.Add(-1) == 0 {
 		if ferr := c.bw.Flush(); err == nil {
 			err = ferr
 		}
 	}
-	c.wmu.Unlock()
-	if err != nil {
+	return err
+}
+
+func (c *QueryClient) roundTrip(req queryRequest) (queryResponse, error) {
+	c.readerOnce.Do(c.startReader)
+	id := c.nextID.Add(1)
+	req.ID = id
+	req.Consistent = req.Consistent || c.Consistent
+	ch := make(chan queryResponse, 1)
+	c.mu.Lock()
+	if c.readErr != nil {
+		err := c.readErr
+		c.mu.Unlock()
+		return queryResponse{}, err
+	}
+	c.pending[id] = ch
+	c.mu.Unlock()
+
+	if err := c.send(req); err != nil {
 		c.mu.Lock()
 		delete(c.pending, id)
 		c.mu.Unlock()
-		return clientResponse{}, fmt.Errorf("monitor: send query: %w", err)
+		return queryResponse{}, fmt.Errorf("monitor: send query: %w", err)
 	}
 
 	var timeout <-chan time.Time
@@ -773,7 +923,7 @@ func (c *QueryClient) roundTrip(req queryRequest) (clientResponse, error) {
 	select {
 	case resp := <-ch:
 		if !resp.OK {
-			return clientResponse{}, fmt.Errorf("monitor: query failed: %s", resp.Error)
+			return queryResponse{}, fmt.Errorf("monitor: query failed: %s", resp.Error)
 		}
 		return resp, nil
 	case <-timeout:
@@ -781,12 +931,12 @@ func (c *QueryClient) roundTrip(req queryRequest) (clientResponse, error) {
 		c.mu.Lock()
 		delete(c.pending, id)
 		c.mu.Unlock()
-		return clientResponse{}, errors.New("monitor: query timeout")
+		return queryResponse{}, errors.New("monitor: query timeout")
 	case <-c.done:
 		c.mu.Lock()
 		err := c.readErr
 		c.mu.Unlock()
-		return clientResponse{}, err
+		return queryResponse{}, err
 	}
 }
 
@@ -830,9 +980,12 @@ func (c *QueryClient) HourlySeriesWindow(id trace.ServerID, spec trace.Spec, epo
 	if err != nil {
 		return nil, err
 	}
-	samples := make([]trace.Usage, len(resp.Samples))
-	for i, s := range resp.Samples {
-		samples[i] = trace.Usage{CPU: s.CPU, Mem: s.Mem}
+	samples := resp.samples
+	if samples == nil {
+		// A series line the fast path declined came through encoding/json.
+		if samples, err = unpackUsage([]byte(resp.Usage)); err != nil {
+			return nil, err
+		}
 	}
 	return trace.NewSeries(time.Hour, samples)
 }

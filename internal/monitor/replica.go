@@ -1,7 +1,6 @@
 package monitor
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"slices"
@@ -139,9 +138,9 @@ type seriesCacheKey struct {
 }
 
 // cachedSeries is one memoized answer: the response line's body — the
-// bytes of {"ok":true,"samples":[...]} after the opening brace, so the
-// writer can splice a request id in front without re-marshaling — or the
-// deterministic error the computation produced.
+// bytes of {"ok":true,"usage":"..."} after the opening brace (seriesBody),
+// so the writer can splice a request id in front without re-encoding — or
+// the deterministic error the computation produced.
 type cachedSeries struct {
 	body []byte
 	err  error
@@ -420,6 +419,10 @@ type decodeScratch struct {
 
 var decodeScratchPool = sync.Pool{New: func() any { return new(decodeScratch) }}
 
+// usageScratchPool holds hourly() output for callers that encode it and let
+// go (seriesJSON).
+var usageScratchPool = sync.Pool{New: func() any { return new([]trace.Usage) }}
+
 func (r *replicaSet) storeFor(id trace.ServerID) *replicaStore {
 	rep := r.shards[r.w.shardIndex(id)].Load()
 	if rep == nil {
@@ -476,10 +479,16 @@ func (rs *replicaStore) columns(sc *decodeScratch) (ts []time.Time, cpu, mem []f
 // hourly mirrors serverStore.hourly branch for branch so that replica
 // answers are bit-identical to live answers over the same samples: the
 // same aligned-epoch bucket formula, and the same scan-and-bucket
-// fallback (including its accumulation order) after a full decode.
-func (rs *replicaStore) hourly(spec trace.Spec, epoch time.Time, r *replicaSet) ([]trace.Usage, error) {
+// fallback (including its accumulation order) after a full decode. The
+// result reuses dst's storage when it is large enough (nil allocates).
+func (rs *replicaStore) hourly(dst []trace.Usage, spec trace.Spec, epoch time.Time, r *replicaSet) ([]trace.Usage, error) {
+	zeroed := func(n int) []trace.Usage {
+		out := slices.Grow(dst[:0], n)[:n]
+		clear(out)
+		return out
+	}
 	if !rs.wild && timeIndexable(epoch) && epoch.UnixNano()%hourNanos == 0 && rs.firstNanos() >= epoch.UnixNano() {
-		out := make([]trace.Usage, len(rs.cnt))
+		out := zeroed(len(rs.cnt))
 		for i, n := range rs.cnt {
 			if n == 0 {
 				continue
@@ -516,7 +525,7 @@ func (rs *replicaStore) hourly(spec trace.Spec, epoch time.Time, r *replicaSet) 
 		buckets[j].mem += mem[i]
 		buckets[j].n++
 	}
-	out := make([]trace.Usage, len(buckets))
+	out := zeroed(len(buckets))
 	for i, b := range buckets {
 		if b.n > 0 {
 			out[i] = trace.Usage{CPU: b.cpu / float64(b.n), Mem: b.mem / float64(b.n)}
@@ -534,7 +543,7 @@ func (r *replicaSet) hourlySeries(id trace.ServerID, spec trace.Spec, epoch time
 	if spec.CPURPE2 <= 0 {
 		return nil, errNoCPURating
 	}
-	out, err := rs.hourly(spec, epoch, r)
+	out, err := rs.hourly(nil, spec, epoch, r)
 	if err != nil {
 		return nil, err
 	}
@@ -579,27 +588,18 @@ func (r *replicaSet) seriesJSON(id trace.ServerID, spec trace.Spec, epoch time.T
 	case spec.CPURPE2 <= 0:
 		c.err = errNoCPURating
 	default:
-		out, err := rs.hourly(spec, epoch, r)
+		// The samples only pass through on their way into the body; on a
+		// fleet pull a fresh slice each would be a quarter of all the bytes
+		// allocated, and the collector's bill follows the bytes.
+		scratch := usageScratchPool.Get().(*[]trace.Usage)
+		out, err := rs.hourly(*scratch, spec, epoch, r)
 		if err != nil {
 			c.err = err
-			break
+		} else {
+			c.body = seriesBody(windowTail(out, lastHours))
+			*scratch = out
 		}
-		out = windowTail(out, lastHours)
-		samples := make([]querySample, len(out))
-		for i, u := range out {
-			samples[i] = querySample{CPU: u.CPU, Mem: u.Mem}
-		}
-		data, err := json.Marshal(samples)
-		if err != nil {
-			return nil, err // never caches a marshal failure
-		}
-		// Exactly the bytes json.Marshal(queryResponse{OK: true,
-		// Samples: data}) produces, minus the opening brace.
-		body := make([]byte, 0, len(data)+24)
-		body = append(body, `"ok":true,"samples":`...)
-		body = append(body, data...)
-		body = append(body, '}')
-		c.body = body
+		usageScratchPool.Put(scratch)
 	}
 	rep.cacheMu.Lock()
 	if rep.seriesCache == nil {

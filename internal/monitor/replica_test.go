@@ -1,6 +1,8 @@
 package monitor
 
 import (
+	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -129,11 +131,33 @@ func TestReplicaEquivalenceWall(t *testing.T) {
 				t.Fatalf("stats: live %+v, replica %+v", liveStat, repStat)
 			}
 
+			// The same questions over the wire: a replica answer and a
+			// consistent (live) one must be the same response line, byte
+			// for byte — one encoder, bit-identical samples.
+			addr, _ := startQueryServer(t, w)
+			conn, err := net.Dial("tcp", addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			lines := bufio.NewReader(conn)
+			ask := func(req queryRequest) []byte {
+				t.Helper()
+				if err := json.NewEncoder(conn).Encode(req); err != nil {
+					t.Fatal(err)
+				}
+				line, err := lines.ReadBytes('\n')
+				if err != nil {
+					t.Fatal(err)
+				}
+				return line
+			}
+
 			spec := trace.Spec{CPURPE2: 11900, MemMB: 131072}
 			epochs := []time.Time{
-				epoch,                           // hour-aligned: bucket fast path
-				epoch.Add(17 * time.Minute),     // unaligned: decode-scan fallback
-				epoch.Add(-240 * time.Hour),     // aligned, far before data
+				epoch,                       // hour-aligned: bucket fast path
+				epoch.Add(17 * time.Minute), // unaligned: decode-scan fallback
+				epoch.Add(-240 * time.Hour), // aligned, far before data
 				time.Date(1500, 1, 1, 0, 0, 0, 0, time.UTC), // pre-indexable epoch
 			}
 			for _, id := range liveIDs {
@@ -148,6 +172,12 @@ func TestReplicaEquivalenceWall(t *testing.T) {
 				for ei, ep := range epochs {
 					for _, lastHours := range []int{0, 24} {
 						ctx := fmt.Sprintf("%s epoch[%d] last=%d", id, ei, lastHours)
+						req := queryRequest{ID: 1, Op: "series", Server: id, CPURPE2: spec.CPURPE2, MemMB: spec.MemMB, Epoch: ep, LastHours: lastHours}
+						repLine := ask(req)
+						req.Consistent = true
+						if liveLine := ask(req); !bytes.Equal(liveLine, repLine) {
+							t.Fatalf("%s: live line %q != replica line %q", ctx, liveLine, repLine)
+						}
 						live, lerr := w.HourlySeriesWindow(id, spec, ep, lastHours)
 						rep, rerr := w.ReplicaHourlySeriesWindow(id, spec, ep, lastHours)
 						if (lerr == nil) != (rerr == nil) {
@@ -160,15 +190,22 @@ func TestReplicaEquivalenceWall(t *testing.T) {
 							continue
 						}
 						equalSeries(t, ctx, live, rep)
+						// And the line is that series: the client's decoder
+						// gives back the bits the in-process read computed.
+						resp, err := decodeResponseLine(repLine)
+						if err != nil || !resp.OK || resp.samples == nil {
+							t.Fatalf("%s: line %q decoded to %+v, %v", ctx, repLine, resp, err)
+						}
+						equalSeries(t, ctx+" wire", live, hours(resp.samples))
 					}
 				}
 				// Range reads across narrow, wide, and empty windows.
 				base := epoch.UnixNano()
 				windows := [][2]int64{
 					{base, base + int64(time.Hour)},
-					{base - int64(24 * time.Hour), base + int64(90 * 24 * time.Hour)},
-					{base + int64(13 * time.Hour), base + int64(14 * time.Hour)},
-					{base + int64(400 * 24 * time.Hour), base + int64(401 * 24 * time.Hour)},
+					{base - int64(24*time.Hour), base + int64(90*24*time.Hour)},
+					{base + int64(13*time.Hour), base + int64(14*time.Hour)},
+					{base + int64(400*24*time.Hour), base + int64(401*24*time.Hour)},
 					{base + int64(time.Hour), base}, // inverted: empty
 				}
 				for wi, win := range windows {
