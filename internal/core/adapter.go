@@ -24,9 +24,9 @@ type Adapter struct {
 	// clamped is the per-step scratch for bound-clamped items, reused
 	// across intervals.
 	clamped []placement.Item
-	// evac carries consolidate's cross-interval state (failure
-	// certificates, scratch buffers); nil when DisableIncremental.
-	evac *evacState
+	// evac carries the cross-interval state of repair and consolidation
+	// (failure certificates, scratch buffers).
+	evac evacState
 	// vmIdx/vmIDs cache each item position's dense VM index: the
 	// population and order of items is fixed across intervals, so the
 	// per-VM map resolution is paid once, then validated per step with a
@@ -91,15 +91,11 @@ func (a *Adapter) Step(items []placement.Item) (StepResult, error) {
 			Bound:       a.In.bound(),
 			RackSize:    a.In.rackSize(),
 			Constraints: a.In.Constraints,
-			Reference:   a.In.DisableIncremental,
 		}.Pack(clamped)
 		if err != nil {
 			return StepResult{}, fmt.Errorf("core: adapter initial pack: %w", err)
 		}
 		a.cur = p
-		if !a.In.DisableIncremental {
-			a.evac = &evacState{}
-		}
 		return StepResult{ActiveHosts: p.ActiveHosts()}, nil
 	}
 
@@ -130,14 +126,14 @@ func (a *Adapter) Step(items []placement.Item) (StepResult, error) {
 	}
 	var res StepResult
 	res.OverloadedHosts = a.cur.NumOverloaded()
-	moved, dataMB, err := repairOverloads(a.cur, a.In, a.evac)
+	moved, dataMB, err := repairOverloads(a.cur, a.In, &a.evac)
 	if err != nil {
 		return StepResult{}, err
 	}
 	res.Migrations += moved
 	res.MigrationDataMB += dataMB
 
-	moved, dataMB = consolidate(a.cur, a.In, a.evac)
+	moved, dataMB = consolidate(a.cur, a.In, &a.evac)
 	res.Migrations += moved
 	res.MigrationDataMB += dataMB
 	res.ActiveHosts = a.cur.ActiveHosts()

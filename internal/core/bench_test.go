@@ -81,35 +81,6 @@ func BenchmarkDynamicPlan(b *testing.B) {
 	})
 }
 
-// BenchmarkDynamicPlanIncremental isolates the incremental consolidation
-// machinery: demands are precomputed for both arms, so the only difference
-// is the incremental fast paths (flattened kernels, evacuation certificates,
-// scratch reuse) versus the retained reference implementations.
-func BenchmarkDynamicPlanIncremental(b *testing.B) {
-	in := benchDynamicInput(b)
-	m, err := SizeDynamicDemands(in)
-	if err != nil {
-		b.Fatal(err)
-	}
-	in.Demands = m
-	in.PlanOnly = true
-	for _, arm := range []struct {
-		name    string
-		disable bool
-	}{{"incremental", false}, {"reference", true}} {
-		b.Run(arm.name, func(b *testing.B) {
-			cfg := in
-			cfg.DisableIncremental = arm.disable
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := (Dynamic{}).Plan(cfg); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // benchHugeFleet synthesizes an n-server monitoring set with short series
 // built from a few shared diurnal patterns — generating a full workload
 // horizon for 100k servers would dwarf the planning time being measured.

@@ -108,14 +108,6 @@ type Input struct {
 	// equal inline ones). The planner adopts them only when they cover
 	// exactly the monitoring servers in order; other planners ignore them.
 	Envelopes []placement.Item
-	// DisableIncremental turns off this package's incremental fast paths:
-	// the packers fall back to their retained naive reference kernels and
-	// the dynamic adapter re-derives every evacuation attempt from scratch
-	// instead of reusing cross-interval failure certificates and scratch
-	// buffers. The output is byte-identical either way (enforced by
-	// TestIncrementalEquivalence); the switch exists to prove exactly
-	// that, and as an escape hatch.
-	DisableIncremental bool
 	// PlanOnly tells the dynamic planner to skip the per-interval
 	// placement snapshots and leave Plan.Schedule nil — for plan-only
 	// cells (sensitivity sweeps) that read Provisioned and the migration

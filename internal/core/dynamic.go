@@ -152,13 +152,9 @@ func repairOverloads(p *placement.Placement, in Input, st *evacState) (int, floa
 	var (
 		moves  int
 		dataMB float64
-		over   []int
-		cands  []repairCand
 	)
-	if st != nil {
-		over, cands = st.overIdx[:0], st.cands[:0]
-		defer func() { st.overIdx, st.cands = over[:0], cands[:0] }()
-	}
+	over, cands := st.overIdx[:0], st.cands[:0]
+	defer func() { st.overIdx, st.cands = over[:0], cands[:0] }()
 	// The overloaded set is fixed before any repair: targets are always
 	// checked with FitsAt (or freshly opened), so a repair move can never
 	// overload another host.
@@ -300,10 +296,11 @@ type evacMove struct {
 
 // consolidate evacuates lightly loaded hosts whose VMs all fit elsewhere
 // (with hysteresis headroom), switching the freed hosts off. Hosts are
-// tried emptiest-first. A non-nil st enables the incremental machinery:
-// quick rejects against target maxima, cross-interval failure certificates
-// and buffer reuse — all outcome-preserving, so the moves made (and the
-// placement bytes) are identical with st == nil.
+// tried emptiest-first. Quick rejects against target maxima and sums,
+// cross-interval failure certificates and buffer reuse skip attempts that
+// must fail; all are outcome-preserving, so the moves made (and the
+// placement bytes) equal those of the plain walk that tries every host
+// (consolidateReference, the test oracle).
 func consolidate(p *placement.Placement, in Input, st *evacState) (int, float64) {
 	cap := p.Capacity()
 	limit := sizing.Demand{CPU: cap.CPU * evacuationHeadroom, Mem: cap.Mem * evacuationHeadroom}
@@ -333,18 +330,13 @@ func consolidate(p *placement.Placement, in Input, st *evacState) (int, float64)
 		moves  int
 		dataMB float64
 	)
-	var allTargets, scratch []evacTarget
-	var movers []evacMover
-	var pairs []evacMove
-	if st != nil {
-		if st.certs == nil {
-			st.certs = make(map[string]trace.ServerID)
-		}
-		allTargets, scratch, movers, pairs = st.targets[:0], st.scratch[:0], st.movers[:0], st.pairs[:0]
-		defer func() {
-			st.targets, st.scratch, st.movers, st.pairs = allTargets[:0], scratch[:0], movers[:0], pairs[:0]
-		}()
+	if st.certs == nil {
+		st.certs = make(map[string]trace.ServerID)
 	}
+	allTargets, scratch, movers, pairs := st.targets[:0], st.scratch[:0], st.movers[:0], st.pairs[:0]
+	defer func() {
+		st.targets, st.scratch, st.movers, st.pairs = allTargets[:0], scratch[:0], movers[:0], pairs[:0]
+	}()
 	// The sorted target list is a function of the placement state, which
 	// only changes when an evacuation succeeds — most attempts fail, so
 	// the list (and its O(n log n) sort) is rebuilt on success instead of
@@ -352,59 +344,53 @@ func consolidate(p *placement.Placement, in Input, st *evacState) (int, float64)
 	// order, so every attempt sees exactly the list a fresh build would
 	// produce.
 	allTargets = evacTargets(p, limit, allTargets)
-	var agg targetAgg
-	if st != nil {
-		agg = aggregateTargets(allTargets)
-	}
+	agg := aggregateTargets(allTargets)
 	for _, cand := range active {
 		src := cand.id
 		vis := p.VMIndicesAt(cand.idx)
 		if len(vis) == 0 {
 			continue
 		}
-		maxRC, maxRM := math.Inf(-1), math.Inf(-1)
-		if st != nil {
-			// The exclude-self residual view is derived in O(1) from the
-			// aggregates: the per-resource maximum is the global top value
-			// unless this source holds it (then the runner-up, which under
-			// ties equals the top), and the placeable sum is the global
-			// positive-residual sum minus this host's own headroom. The
-			// source's residual is recomputed with the exact expression
-			// evacTargets used, and the placement has not mutated since the
-			// list was built, so the values match bit for bit.
-			maxRC, maxRM = agg.maxRC1, agg.maxRM1
-			if agg.maxRCIdx == cand.idx {
-				maxRC = agg.maxRC2
-			}
-			if agg.maxRMIdx == cand.idx {
-				maxRM = agg.maxRM2
-			}
-			u := p.UsedAt(cand.idx)
-			rcSrc, rmSrc := limit.CPU-u.CPU, limit.Mem-u.Mem
-			sumRC, sumRM := agg.sumRC, agg.sumRM
-			if rcSrc > 0 {
-				sumRC -= rcSrc
-			}
-			if rmSrc > 0 {
-				sumRM -= rmSrc
-			}
-			// Sum-capacity reject: greedy placement consumes residuals by
-			// exactly each mover's demand (within the 1e-9 per-placement
-			// fit tolerance), so when the source's total used demand
-			// exceeds the summed residuals by more than the slack — which
-			// covers n accumulated tolerances plus float error — every
-			// assignment order must leave some mover without a target.
-			if u.CPU > sumRC+evacSumSlack || u.Mem > sumRM+evacSumSlack {
-				continue
-			}
-			if certID, ok := st.certs[src]; ok {
-				if h, on := p.HostOf(certID); on && h == src {
-					if it, have := p.Item(certID); have && fitsNoTarget(it, allTargets, cand.idx) {
-						continue
-					}
-				} else {
-					delete(st.certs, src)
+		// The exclude-self residual view is derived in O(1) from the
+		// aggregates: the per-resource maximum is the global top value
+		// unless this source holds it (then the runner-up, which under
+		// ties equals the top), and the placeable sum is the global
+		// positive-residual sum minus this host's own headroom. The
+		// source's residual is recomputed with the exact expression
+		// evacTargets used, and the placement has not mutated since the
+		// list was built, so the values match bit for bit.
+		maxRC, maxRM := agg.maxRC1, agg.maxRM1
+		if agg.maxRCIdx == cand.idx {
+			maxRC = agg.maxRC2
+		}
+		if agg.maxRMIdx == cand.idx {
+			maxRM = agg.maxRM2
+		}
+		u := p.UsedAt(cand.idx)
+		rcSrc, rmSrc := limit.CPU-u.CPU, limit.Mem-u.Mem
+		sumRC, sumRM := agg.sumRC, agg.sumRM
+		if rcSrc > 0 {
+			sumRC -= rcSrc
+		}
+		if rmSrc > 0 {
+			sumRM -= rmSrc
+		}
+		// Sum-capacity reject: greedy placement consumes residuals by
+		// exactly each mover's demand (within the 1e-9 per-placement fit
+		// tolerance), so when the source's total used demand exceeds the
+		// summed residuals by more than the slack — which covers n
+		// accumulated tolerances plus float error — every assignment order
+		// must leave some mover without a target.
+		if u.CPU > sumRC+evacSumSlack || u.Mem > sumRM+evacSumSlack {
+			continue
+		}
+		if certID, ok := st.certs[src]; ok {
+			if h, on := p.HostOf(certID); on && h == src {
+				if it, have := p.Item(certID); have && fitsNoTarget(it, allTargets, cand.idx) {
+					continue
 				}
+			} else {
+				delete(st.certs, src)
 			}
 		}
 		movers = movers[:0]
@@ -415,7 +401,7 @@ func consolidate(p *placement.Placement, in Input, st *evacState) (int, float64)
 			// A VM larger than the best per-resource residual across
 			// all targets fits nowhere, so the whole evacuation is
 			// doomed; certify and skip the attempt.
-			if st != nil && (it.Demand.CPU > maxRC+1e-9 || it.Demand.Mem > maxRM+1e-9) {
+			if it.Demand.CPU > maxRC+1e-9 || it.Demand.Mem > maxRM+1e-9 {
 				reject = it.ID
 				break
 			}
@@ -434,7 +420,7 @@ func consolidate(p *placement.Placement, in Input, st *evacState) (int, float64)
 		// fits no target on capacity alone the attempt must fail there —
 		// the identical certificate planEvacuation would return — and the
 		// sort plus planning walk are skipped.
-		if st != nil && big >= 0 && fitsNoTarget(movers[big].it, allTargets, cand.idx) {
+		if big >= 0 && fitsNoTarget(movers[big].it, allTargets, cand.idx) {
 			st.certs[src] = movers[big].it.ID
 			continue
 		}
@@ -459,14 +445,10 @@ func consolidate(p *placement.Placement, in Input, st *evacState) (int, float64)
 		)
 		pairs, stuck, ok = planEvacuation(p, scratch, movers, in, pairs[:0])
 		if !ok {
-			if st != nil && stuck != "" {
-				st.certs[src] = stuck
-			}
+			st.certs[src] = stuck
 			continue
 		}
-		if st != nil {
-			delete(st.certs, src)
-		}
+		delete(st.certs, src)
 		// Apply in sorted order, not plan order: assignment order fixes
 		// the VM order on each host, which downstream float summation
 		// (emulator replay) must see deterministically. planEvacuation
@@ -481,9 +463,7 @@ func consolidate(p *placement.Placement, in Input, st *evacState) (int, float64)
 			dataMB += mv.it.Demand.Mem
 		}
 		allTargets = evacTargets(p, limit, allTargets[:0])
-		if st != nil {
-			agg = aggregateTargets(allTargets)
-		}
+		agg = aggregateTargets(allTargets)
 	}
 	return moves, dataMB
 }

@@ -69,7 +69,6 @@ func maxSizedPlan(in Input, name string, headroom float64) (*Plan, error) {
 		Bound:       1.0,
 		RackSize:    in.rackSize(),
 		Constraints: in.Constraints,
-		Reference:   in.DisableIncremental,
 	}.Pack(items)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", name, err)

@@ -65,7 +65,6 @@ func (Stochastic) Plan(in Input) (*Plan, error) {
 		Corr:        corr,
 		CorrIdx:     corrIdx,
 		MaxAvgCorr:  in.MaxAvgCorr,
-		Reference:   in.DisableIncremental,
 	}.Pack(items)
 	if err != nil {
 		return nil, fmt.Errorf("stochastic: %w", err)

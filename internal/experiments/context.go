@@ -30,22 +30,6 @@ type Config struct {
 	VirtOverhead float64
 	// DedupFactor is the memory deduplication saving fraction.
 	DedupFactor float64
-	// DisableSharedCaches turns off the cross-cell demand-matrix,
-	// correlation and envelope caches, forcing every dynamic plan to
-	// recompute its predictions inline and every stochastic plan to rebuild
-	// its correlation function and envelopes. The report is byte-identical
-	// either way (the equivalence is enforced by test); the switch exists
-	// to prove exactly that, and as an escape hatch should a future
-	// predictor ever become stateful.
-	DisableSharedCaches bool
-	// DisableIncremental turns off the planners' incremental fast paths —
-	// flattened packing kernels, indexed correlation lookups, the dynamic
-	// adapter's cross-interval evacuation certificates and plan-only
-	// sensitivity cells — reverting to the retained reference
-	// implementations. Byte-identical by construction and enforced by
-	// TestIncrementalEquivalence; exists to prove exactly that, and as an
-	// escape hatch.
-	DisableIncremental bool
 }
 
 // DefaultConfig returns the paper's baseline conditions (Table 3).
@@ -254,12 +238,7 @@ func (c *Context) Input() core.Input {
 	if c.Config.DedupFactor > 0 && c.Config.DedupFactor < 1 {
 		host.Spec.MemMB /= 1 - c.Config.DedupFactor
 	}
-	return core.Input{
-		Monitoring:         c.Monitoring,
-		Evaluation:         c.Evaluation,
-		Host:               host,
-		DisableIncremental: c.Config.DisableIncremental,
-	}
+	return core.Input{Monitoring: c.Monitoring, Evaluation: c.Evaluation, Host: host}
 }
 
 // Run plans with the given planner at the baseline settings and replays the
@@ -309,13 +288,9 @@ func (c *Context) SizedDemands(in core.Input) (*core.DemandMatrix, error) {
 }
 
 // demandHistories returns the context-wide demand histories, built at most
-// once and shared by every demand-matrix computation; nil when shared
-// caches are disabled or the build fails (SizeDynamicDemands then rebuilds
-// inline, the byte-identical fallback).
+// once and shared by every demand-matrix computation; nil when the build
+// fails (SizeDynamicDemands then rebuilds inline and surfaces the error).
 func (c *Context) demandHistories() *core.DemandHistories {
-	if c.Config.DisableSharedCaches {
-		return nil
-	}
 	c.hists.once.Do(func() {
 		c.hists.h, c.hists.err = core.BuildDemandHistories(c.Monitoring, c.Evaluation)
 	})
@@ -326,14 +301,11 @@ func (c *Context) demandHistories() *core.DemandHistories {
 }
 
 // withDemands attaches the shared demand matrix to a dynamic-planner input
-// when caching is enabled and the input plans over this context's own trace
-// sets. On any cache miss condition the input is returned unchanged and the
-// planner computes its predictions inline — the byte-identical fallback.
+// that plans over this context's own trace sets. Inputs over other traces,
+// or carrying their own matrix, are returned unchanged and the planner
+// computes its predictions inline.
 func (c *Context) withDemands(in core.Input) core.Input {
-	if in.Demands != nil || c.Config.DisableSharedCaches {
-		return in
-	}
-	if in.Monitoring != c.Monitoring || in.Evaluation != c.Evaluation {
+	if in.Demands != nil || in.Monitoring != c.Monitoring || in.Evaluation != c.Evaluation {
 		return in
 	}
 	m, err := c.SizedDemands(in)
@@ -366,16 +338,6 @@ func (c *Context) CorrTable(intervalHours int) (*core.CorrTable, error) {
 	return e.t, e.err
 }
 
-// SharedCorrelations is the functional view of CorrTable, kept for callers
-// that only need ID-keyed lookups.
-func (c *Context) SharedCorrelations(intervalHours int) (placement.CorrFunc, error) {
-	t, err := c.CorrTable(intervalHours)
-	if err != nil {
-		return nil, err
-	}
-	return t.Func(), nil
-}
-
 // SizedEnvelopes returns the stochastic planner's body/tail envelope items
 // over this context's monitoring set at the given body percentile, computed
 // at most once per percentile. SizeEnvelope is deterministic, so shared
@@ -396,12 +358,11 @@ func (c *Context) SizedEnvelopes(percentile float64) ([]placement.Item, error) {
 }
 
 // withCorrelations attaches the shared correlation table and envelope items
-// to a stochastic-planner input when caching is enabled and the input plans
-// over this context's own monitoring set. On any miss condition the input
-// is returned unchanged and the planner builds both inline — the
-// byte-identical fallback.
+// to a stochastic-planner input that plans over this context's own
+// monitoring set. Inputs over other traces are returned unchanged and the
+// planner builds both inline.
 func (c *Context) withCorrelations(in core.Input) core.Input {
-	if c.Config.DisableSharedCaches || in.Monitoring != c.Monitoring {
+	if in.Monitoring != c.Monitoring {
 		return in
 	}
 	if in.Correlations == nil && in.CorrIndex == nil && !in.ClusterCorrelation {
@@ -410,10 +371,7 @@ func (c *Context) withCorrelations(in core.Input) core.Input {
 			hours = core.DefaultIntervalHours
 		}
 		if t, err := c.CorrTable(hours); err == nil {
-			// Both views of the same table: the packer prefers the
-			// indexed one, the functional one serves as fallback.
 			in.CorrIndex = t
-			in.Correlations = t.Func()
 		}
 		// On error, let the planner surface the identical error from
 		// its inline construction.
@@ -433,10 +391,9 @@ func (c *Context) withCorrelations(in core.Input) core.Input {
 // PlanDynamic plans with the dynamic planner against explicit input,
 // routing the Predict + Size steps through the shared demand cache. The
 // sensitivity and mechanism studies use it for plan-only cells that never
-// replay, so the returned plan carries counters only — Schedule is nil
-// (unless Config.DisableIncremental reverts to the full snapshot path).
+// replay, so the returned plan carries counters only — Schedule is nil.
 func (c *Context) PlanDynamic(in core.Input) (*core.Plan, error) {
-	in.PlanOnly = !c.Config.DisableIncremental
+	in.PlanOnly = true
 	return core.Dynamic{}.Plan(c.withDemands(in))
 }
 

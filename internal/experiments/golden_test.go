@@ -6,12 +6,15 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"reflect"
 	"sync"
 	"testing"
 
 	"vmwild/internal/core"
+	"vmwild/internal/emulator"
+	"vmwild/internal/placement"
 	"vmwild/internal/workload"
 )
 
@@ -134,55 +137,6 @@ func TestSweepDeterminism(t *testing.T) {
 	}
 }
 
-// TestCacheEquivalence: the shared demand and correlation caches are a pure
-// performance optimization. With Config.DisableSharedCaches forcing every
-// dynamic plan to recompute its predictions inline and every stochastic plan
-// to rebuild its correlation function, the 8-worker report must still emit
-// the committed golden bytes.
-func TestCacheEquivalence(t *testing.T) {
-	skipHeavy(t, "full report collection")
-	cfg := DefaultConfig()
-	cfg.DisableSharedCaches = true
-	res, err := Collect(context.Background(), cfg, Options{Workers: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := Render(&buf, res); err != nil {
-		t.Fatal(err)
-	}
-	want, err := os.ReadFile(goldenPath)
-	if err != nil {
-		t.Fatalf("read golden (regenerate with -update): %v", err)
-	}
-	diffBytes(t, "cache-disabled report (8 workers)", want, buf.Bytes())
-}
-
-// TestIncrementalEquivalence: the incremental fast paths — flattened
-// packing kernels, indexed correlation lookups, cross-interval evacuation
-// certificates, plan-only sensitivity cells — are a pure performance
-// optimization. With Config.DisableIncremental reverting every planner to
-// its retained reference implementation, the 8-worker report must still
-// emit the committed golden bytes.
-func TestIncrementalEquivalence(t *testing.T) {
-	skipHeavy(t, "full report collection")
-	cfg := DefaultConfig()
-	cfg.DisableIncremental = true
-	res, err := Collect(context.Background(), cfg, Options{Workers: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := Render(&buf, res); err != nil {
-		t.Fatal(err)
-	}
-	want, err := os.ReadFile(goldenPath)
-	if err != nil {
-		t.Fatalf("read golden (regenerate with -update): %v", err)
-	}
-	diffBytes(t, "incremental-disabled report (8 workers)", want, buf.Bytes())
-}
-
 // TestSharedCacheConcurrency hammers the context-level demand and
 // correlation caches from 8 goroutines at once. Every caller must observe
 // the same matrix (pointer identity: each key computes exactly once), the
@@ -190,16 +144,7 @@ func TestIncrementalEquivalence(t *testing.T) {
 // its memo matrix, and the resulting plans must agree. Not gated by
 // skipHeavy: under -race this is the concurrency proof for both caches.
 func TestSharedCacheConcurrency(t *testing.T) {
-	p, err := workload.FromTemplate(workload.Template{
-		Name: "cache-race", Servers: 48, WebFraction: 0.5, Burstiness: 0.5,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := NewContext(p, DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := smallContext(t)
 
 	const workers = 8
 	var (
@@ -219,11 +164,12 @@ func TestSharedCacheConcurrency(t *testing.T) {
 				return
 			}
 			mats[w] = m
-			corr, err := c.SharedCorrelations(core.DefaultIntervalHours)
+			table, err := c.CorrTable(core.DefaultIntervalHours)
 			if err != nil {
 				errs[w] = err
 				return
 			}
+			corr := table.Func()
 			servers := c.Monitoring.Servers
 			for i := range servers {
 				for j := i + 1; j < len(servers); j++ {
@@ -253,6 +199,116 @@ func TestSharedCacheConcurrency(t *testing.T) {
 				w, plans[w].Provisioned, plans[w].Migrations, plans[0].Provisioned, plans[0].Migrations)
 		}
 	}
+}
+
+// smallContext builds a 48-server data center: large enough for consolidation
+// and correlation pooling to matter, small enough for -race.
+func smallContext(t *testing.T) *Context {
+	t.Helper()
+	p, err := workload.FromTemplate(workload.Template{
+		Name: "cache-race", Servers: 48, WebFraction: 0.5, Burstiness: 0.5,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := NewContext(p, DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+// TestSharedInputsMatchInline: the context's shared artefacts — demand
+// histories and matrices for the dynamic planner, correlation tables and
+// envelopes for the stochastic one — and the plan-only dynamic path are
+// pure performance. A plan routed through the context must equal the plan
+// the planner computes inline from a bare input: same counters (the data
+// volume bit for bit) and the same Encode bytes for every scheduled
+// placement, at the default keys and at a non-default interval and body
+// percentile. Not gated by skipHeavy, so it also runs under -race.
+func TestSharedInputsMatchInline(t *testing.T) {
+	c := smallContext(t)
+	keys := []struct {
+		name       string
+		interval   int
+		percentile float64
+	}{
+		{"default", 0, 0},
+		{"interval=4,body=95", 4, 95},
+	}
+	for _, k := range keys {
+		in := c.Input()
+		in.IntervalHours, in.BodyPercentile = k.interval, k.percentile
+
+		if shared := c.withDemands(in); shared.Demands == nil {
+			t.Fatalf("%s: context attached no demand matrix", k.name)
+		}
+		if shared := c.withCorrelations(in); shared.CorrIndex == nil || shared.Envelopes == nil {
+			t.Fatalf("%s: context attached no correlation table or envelopes", k.name)
+		}
+
+		for _, planner := range []core.Planner{core.Dynamic{}, core.Stochastic{}} {
+			tag := fmt.Sprintf("%s %s", k.name, planner.Name())
+			inline, err := planner.Plan(in)
+			if err != nil {
+				t.Fatalf("%s inline: %v", tag, err)
+			}
+			run, err := c.RunWith(planner, in)
+			if err != nil {
+				t.Fatalf("%s shared: %v", tag, err)
+			}
+			assertSameCounters(t, tag+" RunWith", inline, run.Plan)
+			want, got := schedulePlacements(inline.Schedule), schedulePlacements(run.Plan.Schedule)
+			if len(want) == 0 || len(want) != len(got) {
+				t.Fatalf("%s: %d scheduled placements inline, %d shared", tag, len(want), len(got))
+			}
+			for i := range want {
+				wb, err := want[i].Encode()
+				if err != nil {
+					t.Fatal(err)
+				}
+				gb, err := got[i].Encode()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(wb, gb) {
+					t.Errorf("%s: scheduled placement %d differs from the inline plan", tag, i)
+				}
+			}
+
+			if _, ok := planner.(core.Dynamic); ok {
+				only, err := c.PlanDynamic(in)
+				if err != nil {
+					t.Fatalf("%s PlanDynamic: %v", tag, err)
+				}
+				assertSameCounters(t, tag+" PlanDynamic", inline, only)
+				if only.Schedule != nil {
+					t.Errorf("%s: PlanDynamic returned a schedule", tag)
+				}
+			}
+		}
+	}
+}
+
+func assertSameCounters(t *testing.T, tag string, want, got *core.Plan) {
+	t.Helper()
+	if got.Provisioned != want.Provisioned || got.Migrations != want.Migrations ||
+		math.Float64bits(got.MigrationDataMB) != math.Float64bits(want.MigrationDataMB) {
+		t.Errorf("%s: %d hosts / %d migrations / %v MB, inline plan %d / %d / %v",
+			tag, got.Provisioned, got.Migrations, got.MigrationDataMB,
+			want.Provisioned, want.Migrations, want.MigrationDataMB)
+	}
+}
+
+// schedulePlacements lists every placement a planner scheduled.
+func schedulePlacements(s emulator.Schedule) []*placement.Placement {
+	switch s := s.(type) {
+	case emulator.StaticSchedule:
+		return []*placement.Placement{s.P}
+	case emulator.IntervalSchedule:
+		return s.Placements
+	}
+	return nil
 }
 
 // TestCollectCancellation: a canceled context aborts the grid promptly with

@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"vmwild/internal/constraints"
-	"vmwild/internal/sizing"
 	"vmwild/internal/trace"
 )
 
@@ -24,8 +23,6 @@ type BFD struct {
 	RackSize int
 	// Constraints veto candidate assignments.
 	Constraints constraints.Set
-	// Reference selects the retained naive kernel; see FFD.Reference.
-	Reference bool
 }
 
 // Pack places all items and returns the resulting placement.
@@ -34,16 +31,7 @@ func (f BFD) Pack(items []Item) (*Placement, error) {
 	if err != nil {
 		return nil, err
 	}
-	sorted := sortDecreasing(items, f.HostSpec)
-	if f.Reference {
-		for _, it := range sorted {
-			if err := f.placeReference(p, it); err != nil {
-				return nil, err
-			}
-		}
-		return p, nil
-	}
-	return p, f.packFlat(p, sorted)
+	return p, f.packFlat(p, sortDecreasing(items, f.HostSpec))
 }
 
 // packFlat is the flattened kernel: best-fit must score every host anyway,
@@ -95,15 +83,4 @@ func (f BFD) packFlat(p *Placement, sorted []Item) error {
 		p.assignAt(vi, best, it)
 	}
 	return nil
-}
-
-// slackAfter scores the residual capacity of host after adding d: the
-// larger normalized remainder of the two resources. Smaller is a better
-// (tighter) fit.
-func (f BFD) slackAfter(p *Placement, host string, d sizing.Demand) float64 {
-	u := p.Used(host)
-	cap := p.Capacity()
-	cpuLeft := (cap.CPU - u.CPU - d.CPU) / cap.CPU
-	memLeft := (cap.Mem - u.Mem - d.Mem) / cap.Mem
-	return math.Max(cpuLeft, memLeft)
 }

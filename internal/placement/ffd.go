@@ -21,11 +21,6 @@ type FFD struct {
 	RackSize int
 	// Constraints veto candidate assignments.
 	Constraints constraints.Set
-	// Reference selects the retained naive kernel (per-host map lookups,
-	// linear scans) instead of the flattened one. Both produce identical
-	// placements — the property tests prove it — so the flag exists as an
-	// escape hatch and as the test oracle.
-	Reference bool
 }
 
 // Pack places all items and returns the resulting placement.
@@ -34,16 +29,7 @@ func (f FFD) Pack(items []Item) (*Placement, error) {
 	if err != nil {
 		return nil, err
 	}
-	sorted := sortDecreasing(items, f.HostSpec)
-	if f.Reference {
-		for _, it := range sorted {
-			if err := f.placeReference(p, it); err != nil {
-				return nil, err
-			}
-		}
-		return p, nil
-	}
-	return p, f.packFlat(p, sorted)
+	return p, f.packFlat(p, sortDecreasing(items, f.HostSpec))
 }
 
 // packFlat is the flattened kernel: with no constraints the first fitting

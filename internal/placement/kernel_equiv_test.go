@@ -13,7 +13,7 @@ import (
 
 // The kernel equivalence wall: for randomized fleets the flattened
 // struct-of-arrays kernels must produce placements with Encode bytes
-// identical to the retained naive reference kernels (reference.go). The
+// identical to the retained naive reference kernels (reference_test.go). The
 // fleets deliberately include duplicate demands (sort-key ties resolved by
 // ID), items far larger than others (many non-fitting hosts for the
 // segment-tree finder to prune), and AvoidHost constraints that leave
@@ -129,8 +129,7 @@ func TestFFDKernelEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: flat: %v", seed, err)
 		}
-		f.Reference = true
-		ref, err := f.Pack(items)
+		ref, err := ffdReference(f, items)
 		if err != nil {
 			t.Fatalf("seed %d: reference: %v", seed, err)
 		}
@@ -148,8 +147,7 @@ func TestBFDKernelEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: flat: %v", seed, err)
 		}
-		b.Reference = true
-		ref, err := b.Pack(items)
+		ref, err := bfdReference(b, items)
 		if err != nil {
 			t.Fatalf("seed %d: reference: %v", seed, err)
 		}
@@ -181,8 +179,7 @@ func TestPCPKernelEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: flat: %v", seed, err)
 		}
-		pcp.Reference = true
-		ref, err := pcp.Pack(items)
+		ref, err := pcpReference(pcp, items)
 		if err != nil {
 			t.Fatalf("seed %d: reference: %v", seed, err)
 		}

@@ -60,8 +60,6 @@ type PCP struct {
 	// correlation with the candidate would exceed the threshold, forcing
 	// strongly co-moving workloads apart.
 	MaxAvgCorr float64
-	// Reference selects the retained naive kernel; see FFD.Reference.
-	Reference bool
 }
 
 // hostPool accumulates the per-host tail statistics PCP admission needs.
@@ -77,11 +75,7 @@ func (s PCP) Pack(items []Item) (*Placement, error) {
 	if err != nil {
 		return nil, err
 	}
-	sorted := s.sortItems(items)
-	if s.Reference {
-		return p, s.packReference(p, sorted)
-	}
-	return p, s.packFlat(p, sorted)
+	return p, s.packFlat(p, s.sortItems(items))
 }
 
 // sortItems orders items by dominant normalized envelope demand, largest

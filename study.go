@@ -43,25 +43,6 @@ func WithDedup(f float64) Option {
 	return optionFunc(func(c *experiments.Config) { c.DedupFactor = f })
 }
 
-// WithoutSharedCaches disables the study's cross-plan demand-matrix and
-// correlation caches, forcing every plan to recompute inline. Results are
-// byte-identical either way (the equivalence is enforced by the golden
-// tests); the switch exists for benchmarking the uncached path and as an
-// escape hatch should a custom predictor ever become stateful.
-func WithoutSharedCaches() Option {
-	return optionFunc(func(c *experiments.Config) { c.DisableSharedCaches = true })
-}
-
-// WithoutIncremental disables the planners' incremental fast paths —
-// flattened packing kernels, indexed correlation lookups and the dynamic
-// adapter's cross-interval evacuation certificates — reverting to the
-// retained reference implementations. Results are byte-identical either way
-// (enforced by TestIncrementalEquivalence); the switch exists for
-// benchmarking the unoptimized path and as an escape hatch.
-func WithoutIncremental() Option {
-	return optionFunc(func(c *experiments.Config) { c.DisableIncremental = true })
-}
-
 // NewStudy generates the profile's traces under the baseline configuration
 // (Table 3) and prepares the monitoring and evaluation horizons.
 func NewStudy(p *Profile, opts ...Option) (*Study, error) {
