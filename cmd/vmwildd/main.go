@@ -44,7 +44,7 @@ func run() error {
 		snapshot     = flag.String("snapshot", "", "restore this snapshot file at startup and rewrite it on shutdown")
 		walDir       = flag.String("wal-dir", "", "journal accepted samples to a write-ahead log in this directory and recover from it at startup")
 		fsync        = flag.String("fsync", "interval", "WAL fsync policy: always, interval or never")
-		ckptEvery    = flag.Int("checkpoint-every", 0, "WAL appends between warehouse checkpoints (0 = default 4096)")
+		ckptEvery    = flag.Int("checkpoint-every", 0, "floor on WAL appends between warehouse checkpoints; a lane checkpoints after a quarter of its shard size or this share, whichever is larger (0 = default 4096)")
 		healthListen = flag.String("health-listen", "", "serve /healthz and /readyz on this address (empty disables)")
 		readTimeout  = flag.Duration("read-timeout", 5*time.Minute, "sever ingestion/query connections silent longer than this (0 disables)")
 		writeTimeout = flag.Duration("write-timeout", 0, "per-write deadline on ack and response writes (0 = 30s default)")

@@ -16,9 +16,13 @@ import (
 )
 
 // WarehouseLog makes a warehouse crash-safe: every accepted sample is
-// journaled to a write-ahead log before it becomes visible, and warehouse
-// state is checkpointed every CheckpointEvery samples, after which the
-// covered log segments are compacted away. The log is laid out as one
+// journaled to a write-ahead log before it becomes visible, and each lane
+// is checkpointed once its WAL suffix reaches a quarter of the samples
+// its last checkpoint held (never sooner than its share of
+// CheckpointEvery), after which the covered log segments are compacted
+// away. The proportional cadence keeps write amplification constant as a
+// shard grows and bounds crash replay to about S/4 records per lane of S
+// samples. The log is laid out as one
 // lane per warehouse shard (dir/shard-000, dir/shard-001, ...): a sample
 // journals to the lane of its shard, each lane checkpoints just its shard
 // (via snapshotShard) on its own cadence, and lanes never contend with
@@ -47,10 +51,16 @@ type WarehouseLog struct {
 // insert and snapshotShard); no path acquires a lane mutex while holding
 // another lane's or any shard's.
 type journalLane struct {
-	mu        sync.Mutex
-	log       *wal.Log
-	sinceCkpt int
+	mu          sync.Mutex
+	log         *wal.Log
+	sinceCkpt   int
+	ckptSamples int // samples in the lane's latest checkpoint
 }
+
+// ckptGrowth is k in the lane checkpoint rule: a lane checkpoints when
+// its WAL suffix reaches 1/k of the samples its last checkpoint held, so
+// each sample pays for about k checkpoint lines plus its own WAL record.
+const ckptGrowth = 4
 
 // legacyMigratedMarker commits a legacy-root migration: once it exists
 // the lanes are authoritative and the remaining root files are garbage.
@@ -134,10 +144,10 @@ func recoverLog(rec *wal.Recovered, restore func(io.Reader) (int, error), ingest
 }
 
 // OpenWarehouseLog recovers the write-ahead log in dir into w, attaches
-// the journal, and returns the handle. checkpointEvery is the number of
-// journaled samples between checkpoints across the warehouse (default
-// 4096), divided evenly over the per-shard lanes. The warehouse must not
-// be ingesting yet.
+// the journal, and returns the handle. A lane checkpoints in proportion
+// to its shard size; checkpointEvery is the floor of that cadence, in
+// journaled samples across the warehouse (default 4096), divided evenly
+// over the per-shard lanes. The warehouse must not be ingesting yet.
 func OpenWarehouseLog(w *Warehouse, dir string, checkpointEvery int, opts wal.Options) (*WarehouseLog, error) {
 	if checkpointEvery <= 0 {
 		checkpointEvery = 4096
@@ -232,6 +242,7 @@ func OpenWarehouseLog(w *Warehouse, dir string, checkpointEvery int, opts wal.Op
 		wl.restored += res
 		wl.replayed += rep
 		wl.lanes[i].sinceCkpt = rep
+		wl.lanes[i].ckptSamples = res
 	}
 
 	if migrateLegacy {
@@ -335,7 +346,8 @@ func (wl *WarehouseLog) commitMigration(dir string) error {
 }
 
 // journal persists one accepted sample to its shard's lane and inserts
-// it, checkpointing the lane first when its cadence is due. Running the
+// it, checkpointing the lane first when its suffix has reached
+// max(everyLane, ckptSamples/ckptGrowth). Running the
 // insert under the lane mutex keeps that lane and its shard in lockstep:
 // a lane checkpoint always covers exactly the shard samples already
 // visible, so compaction can never drop a journaled-but-uncheckpointed
@@ -345,7 +357,7 @@ func (wl *WarehouseLog) journal(s Sample) error {
 	lane := &wl.lanes[k]
 	lane.mu.Lock()
 	defer lane.mu.Unlock()
-	if lane.sinceCkpt >= wl.everyLane {
+	if lane.sinceCkpt >= max(wl.everyLane, lane.ckptSamples/ckptGrowth) {
 		if err := wl.checkpointLane(k); err != nil {
 			return err
 		}
@@ -379,13 +391,15 @@ func (wl *WarehouseLog) Checkpoint() error {
 // holds lane i's mutex.
 func (wl *WarehouseLog) checkpointLane(i int) error {
 	var buf bytes.Buffer
-	if err := wl.w.snapshotShard(i, &buf); err != nil {
+	n, err := wl.w.snapshotShard(i, &buf)
+	if err != nil {
 		return err
 	}
 	if err := wl.lanes[i].log.Checkpoint(buf.Bytes()); err != nil {
 		return err
 	}
 	wl.lanes[i].sinceCkpt = 0
+	wl.lanes[i].ckptSamples = n
 	return nil
 }
 

@@ -162,3 +162,111 @@ func TestWarehouseLogConcurrentIngest(t *testing.T) {
 		t.Fatalf("recovered %d samples, want %d", got, agents*per)
 	}
 }
+
+// laneSample fabricates the i-th sample of a 16-server fleet, so every
+// lane of a small multi-shard warehouse sees traffic.
+func laneSample(i int) Sample {
+	return Sample{
+		Server:            trace.ServerID(fmt.Sprintf("L%02d", i%16)),
+		Timestamp:         durableEpoch.Add(time.Duration(i/16) * 5 * time.Minute),
+		TotalProcessorPct: float64(i%89) + 0.5,
+		MemCommittedMB:    2048 + float64(i%7)*128,
+	}
+}
+
+// TestCheckpointCadenceProportional pins the lane checkpoint rule: the
+// journal's write cost per sample must not grow with the shard, and an
+// empty shard still checkpoints at the checkpointEvery floor.
+func TestCheckpointCadenceProportional(t *testing.T) {
+	const size, every = 800, 16 // every/2 = 8 per lane, far below size/8
+	bytesPerSample := func(prefill int) float64 {
+		w := NewWarehouseShards(0, 2)
+		for i := 0; i < prefill; i++ {
+			w.Ingest(laneSample(i))
+		}
+		wl, err := OpenWarehouseLog(w, t.TempDir(), every, wal.Options{Sync: wal.SyncNever})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer wl.Close()
+		if err := wl.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		before := wl.BytesWritten()
+		const n = 2 * size
+		for i := prefill; i < prefill+n; i++ {
+			if err := w.IngestDurable(laneSample(i)); err != nil {
+				t.Fatalf("ingest %d: %v", i, err)
+			}
+		}
+		return float64(wl.BytesWritten()-before) / n
+	}
+	small, large := bytesPerSample(size), bytesPerSample(4*size)
+	if large >= 2*small {
+		t.Errorf("journal bytes/sample grew %.2fx (%.0f -> %.0f) for a 4x larger shard; want < 2x", large/small, small, large)
+	}
+
+	// At the floor: an empty 2-shard warehouse still compacts every lane.
+	w := NewWarehouseShards(0, 2)
+	wl, err := OpenWarehouseLog(w, t.TempDir(), every, wal.Options{Sync: wal.SyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer wl.Close()
+	checkpoints := make([]int, len(wl.lanes))
+	for i := 0; i < 4*every; i++ {
+		s := laneSample(i)
+		lane := &wl.lanes[w.shardIndex(s.Server)]
+		prev := lane.sinceCkpt
+		if err := w.IngestDurable(s); err != nil {
+			t.Fatalf("ingest %d: %v", i, err)
+		}
+		if lane.sinceCkpt <= prev {
+			checkpoints[w.shardIndex(s.Server)]++
+		}
+	}
+	for i, n := range checkpoints {
+		if n < 1 {
+			t.Errorf("lane %d took %d checkpoints at the floor cadence; want >= 1", i, n)
+		}
+	}
+}
+
+// TestCrashReplayBounded stops a lane log without Close (a crash after
+// Sync) and checks that recovery replays no more than each lane's
+// cadence allows and restores exactly the acked samples.
+func TestCrashReplayBounded(t *testing.T) {
+	dir := t.TempDir()
+	w := NewWarehouse(0)
+	wl, err := OpenWarehouseLog(w, dir, 16, wal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const acked = 1500
+	for i := 0; i < acked; i++ {
+		if err := w.IngestDurable(laneSample(i)); err != nil {
+			t.Fatalf("ingest %d: %v", i, err)
+		}
+	}
+	if err := wl.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	bound := 0
+	for i := range wl.lanes {
+		bound += max(wl.everyLane, wl.lanes[i].ckptSamples/ckptGrowth)
+	}
+
+	w2 := NewWarehouse(0)
+	wl2, err := OpenWarehouseLog(w2, dir, 16, wal.Options{})
+	if err != nil {
+		t.Fatalf("recovery: %v", err)
+	}
+	defer wl2.Close()
+	rec := wl2.Recovery()
+	if rec.Replayed > bound {
+		t.Errorf("replayed %d records; cadence bound is %d", rec.Replayed, bound)
+	}
+	if rec.Restored+rec.Replayed != acked {
+		t.Errorf("recovered %d+%d samples, want %d acked", rec.Restored, rec.Replayed, acked)
+	}
+}

@@ -64,9 +64,9 @@ func (w *Warehouse) Snapshot(out io.Writer) error {
 }
 
 // snapshotShard writes shard k's retained samples in snapshot format —
-// the per-shard WAL checkpoint payload. The caller must not hold shard
-// k's lock.
-func (w *Warehouse) snapshotShard(k int, out io.Writer) error {
+// the per-shard WAL checkpoint payload — and returns how many it wrote.
+// The caller must not hold shard k's lock.
+func (w *Warehouse) snapshotShard(k int, out io.Writer) (int, error) {
 	sh := &w.shards[k]
 	sh.mu.Lock()
 	ids := make([]trace.ServerID, 0, len(sh.servers))
@@ -82,7 +82,7 @@ func (w *Warehouse) snapshotShard(k int, out io.Writer) error {
 		}
 	}
 	sh.mu.Unlock()
-	return encodeSamples(out, samples)
+	return len(samples), encodeSamples(out, samples)
 }
 
 // Restore ingests a snapshot previously written by Snapshot, applying the

@@ -97,8 +97,9 @@ type Checkpoint struct {
 type SoakConfig struct {
 	// SamplesPerHour is the per-server monitoring density (default 4).
 	SamplesPerHour int
-	// CheckpointEvery is the warehouse WAL checkpoint cadence in samples
-	// (default 2048).
+	// CheckpointEvery is the floor of the warehouse WAL checkpoint
+	// cadence in samples (default 2048); lanes checkpoint in proportion
+	// to their shard size above it.
 	CheckpointEvery int
 	// Sync is the fsync policy for both WAL lanes. The zero value maps
 	// to SyncNever — scenarios simulate crashes above the filesystem,

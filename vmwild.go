@@ -434,7 +434,8 @@ func ParseSyncPolicy(s string) (SyncPolicy, error) { return wal.ParseSyncPolicy(
 
 // OpenWarehouseLog recovers the journal in dir into w (checkpoint restore
 // plus WAL replay) and then journals every accepted sample, checkpointing
-// each checkpointEvery appends.
+// each lane in proportion to its shard size with checkpointEvery appends
+// as the floor.
 func OpenWarehouseLog(w *Warehouse, dir string, checkpointEvery int, opts WALOptions) (*WarehouseLog, error) {
 	return monitor.OpenWarehouseLog(w, dir, checkpointEvery, opts)
 }
