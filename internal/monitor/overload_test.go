@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"math"
 	"net"
 	"sync/atomic"
 	"testing"
@@ -280,6 +281,47 @@ func TestReliableSenderReconciles(t *testing.T) {
 	}
 	if got := int64(w.Stats().Samples); got != c.Acked {
 		t.Fatalf("warehouse holds %d samples, sender acked %d", got, c.Acked)
+	}
+}
+
+// TestReliableSenderDropsUnencodableSamples: Validate passes NaN and ±Inf,
+// which the wire cannot carry. Such a sample is dropped and counted when its
+// chunk is frozen — even a chunk of nothing else — and the valid samples
+// queued around it still ship.
+func TestReliableSenderDropsUnencodableSamples(t *testing.T) {
+	w := NewWarehouse(0)
+	addr, err := w.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+
+	bad := func(minute int, v float64) Sample {
+		s := validSample("bad", minute)
+		s.PagesPerSec = v
+		return s
+	}
+	s := &ReliableSender{Addr: addr, AgentID: "nan", Chunk: 4}
+	defer s.Close()
+	for _, x := range []Sample{
+		validSample("ok", 0), bad(1, math.NaN()), validSample("ok", 2), bad(3, math.Inf(1)),
+		bad(4, math.Inf(-1)), bad(5, math.NaN()), bad(6, math.NaN()), bad(7, math.NaN()),
+		validSample("ok", 8),
+	} {
+		s.Queue(x)
+	}
+	if err := s.Flush(context.Background(), 3); err != nil {
+		t.Fatal(err)
+	}
+	c := s.Counters()
+	if c.Acked != 3 || c.DroppedQueue != 6 || c.Pending != 0 {
+		t.Fatalf("ledger %+v, want 3 acked, 6 dropped, nothing pending", c)
+	}
+	if got := c.Acked + c.ServerShed + c.DroppedQueue + c.Pending; got != c.Queued {
+		t.Fatalf("counters do not reconcile: %d != queued %d (%+v)", got, c.Queued, c)
+	}
+	if got := w.SampleCount("ok"); got != 3 {
+		t.Fatalf("warehouse holds %d of the 3 valid samples", got)
 	}
 }
 

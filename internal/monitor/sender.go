@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
+	"slices"
 	"time"
 )
 
@@ -23,8 +24,12 @@ import (
 type ReliableSender struct {
 	// Addr is the warehouse TCP address (or a chaos proxy in front of it).
 	Addr string
-	// AgentID names this sender in envelopes; the warehouse dedups
-	// retries per AgentID, so IDs must be unique across live senders.
+	// AgentID names this sender in envelopes. The warehouse dedups
+	// retries per AgentID and remembers each ID's last sequence for as
+	// long as it runs, so IDs must be unique across every sender instance
+	// the warehouse has seen, not only across live ones: a new sender
+	// reusing an old ID has its first envelope re-acked as a duplicate and
+	// never stored.
 	AgentID string
 	// Seed roots the retry backoff jitter; zero is a valid seed.
 	Seed int64
@@ -55,7 +60,7 @@ type ReliableSender struct {
 	// pending at first send so queue overflow can never mutate the bytes
 	// a sequence number has already described.
 	inflight    []Sample
-	inflightSeq uint64
+	inflightSeq uint64 // 0 until the inflight chunk encodes
 	seq         uint64
 
 	queued       int64
@@ -182,14 +187,27 @@ func (r *ReliableSender) Flush(ctx context.Context, maxAttempts int) error {
 			n := min(chunkSize, len(r.pending))
 			r.inflight = append(r.inflight[:0], r.pending[:n]...)
 			r.pending = r.pending[n:]
-			r.seq++
-			r.inflightSeq = r.seq
+			r.inflightSeq = 0
 		}
 
 		array, err := appendBatchFrame(frame[:0], r.inflight, fc)
 		if err != nil {
-			// Unencodable samples cannot ever succeed; surface, do not spin.
-			return fmt.Errorf("monitor: encode envelope %d: %w", r.inflightSeq, err)
+			// Validate passes NaN and ±Inf, which the wire cannot carry:
+			// left in, such a sample would fail this chunk on every Flush
+			// and wedge the queue behind it. A chunk that encoded once
+			// always encodes, so this one has no seq yet: drop the samples
+			// that cannot be encoded, count them, and number the rest.
+			before := len(r.inflight)
+			r.inflight = slices.DeleteFunc(r.inflight, func(s Sample) bool {
+				_, err := appendSampleWire(nil, &s, fc)
+				return err != nil
+			})
+			r.droppedQueue += int64(before - len(r.inflight))
+			continue
+		}
+		if r.inflightSeq == 0 {
+			r.seq++
+			r.inflightSeq = r.seq
 		}
 		frame = array
 		samples := bytes.TrimSuffix(array, []byte{'\n'})
