@@ -252,7 +252,6 @@ func serve(cfg serveConfig) error {
 	if err != nil {
 		return err
 	}
-	defer warehouse.Close()
 	qs := vmwild.NewQueryServer(warehouse)
 	qs.ReadTimeout = cfg.readTimeout
 	qs.WriteTimeout = cfg.writeTimeout
@@ -265,9 +264,9 @@ func serve(cfg serveConfig) error {
 	qs.RejectWhen = warehouse.UnderPressure
 	qaddr, err := qs.Listen(cfg.queryListen)
 	if err != nil {
+		warehouse.Close()
 		return err
 	}
-	defer qs.Close()
 	fmt.Printf("ingesting on %s, serving queries on %s, interval %v\n", addr, qaddr, cfg.interval)
 	if health != nil {
 		detail["ingest"] = addr
@@ -287,8 +286,13 @@ func serve(cfg serveConfig) error {
 
 	stop := make(chan os.Signal, 1)
 	signal.Notify(stop, syscall.SIGINT, syscall.SIGTERM)
+	defer signal.Stop(stop)
 	<-stop
 
+	// Close the listeners and drain the handlers before the final
+	// checkpoint: an envelope reaching a closed log would be acked as
+	// shed, and its sender would never retry it.
+	closeErr := errors.Join(qs.Close(), warehouse.Close())
 	if wlog != nil {
 		// Close takes a final checkpoint, so the next boot restores
 		// without replay.
@@ -303,7 +307,7 @@ func serve(cfg serveConfig) error {
 		}
 		fmt.Printf("snapshot written to %s\n", cfg.snapshotPath)
 	}
-	return nil
+	return closeErr
 }
 
 // cleanupStaleSnapshots removes temp files a crashed shutdown snapshot

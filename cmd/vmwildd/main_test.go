@@ -1,17 +1,131 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
+	"net"
 	"net/http"
 	"os"
+	"os/signal"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
+	"syscall"
 	"testing"
 	"time"
 
 	"vmwild"
 )
+
+// freeAddr picks a loopback port nothing listens on.
+func freeAddr(t *testing.T) string {
+	t.Helper()
+	lis, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := lis.Addr().String()
+	lis.Close()
+	return addr
+}
+
+// TestServeShutdownDrainsBeforeCheckpoint raises SIGTERM while a sender
+// streams into a journaled daemon. The listeners must close and the
+// handlers drain before the final checkpoint, so no envelope is acked as
+// shed against a closed log, and the reopened WAL holds exactly what the
+// sender saw acked.
+func TestServeShutdownDrainsBeforeCheckpoint(t *testing.T) {
+	// Registered first, so a SIGTERM that lands before serve's own handler
+	// is caught here instead of killing the test binary.
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, syscall.SIGTERM)
+	defer signal.Stop(sig)
+
+	cfg := serveConfig{
+		listen:       freeAddr(t),
+		queryListen:  freeAddr(t),
+		retention:    30 * 24 * time.Hour,
+		ingestShards: vmwild.DefaultIngestShards,
+		walDir:       t.TempDir(),
+		fsync:        "interval",
+	}
+	served := make(chan error, 1)
+	go func() { served <- serve(cfg) }()
+
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	snd := &vmwild.ReliableSender{
+		Addr:       cfg.listen,
+		AgentID:    "drain",
+		Chunk:      16,
+		Backoff:    time.Millisecond,
+		BackoffMax: 5 * time.Millisecond,
+	}
+	epoch := time.Date(2012, 6, 4, 0, 0, 0, 0, time.UTC)
+	var acked atomic.Int64
+	streamed := make(chan struct{})
+	go func() {
+		defer close(streamed)
+		defer snd.Close()
+		for i := 0; ctx.Err() == nil; i++ {
+			snd.Queue(vmwild.MonitorSample{
+				Server:            vmwild.ServerID(fmt.Sprintf("s%02d", i%8)),
+				Timestamp:         epoch.Add(time.Duration(i) * time.Second),
+				TotalProcessorPct: 50,
+				MemCommittedMB:    512,
+			})
+			if i%16 == 15 {
+				snd.Flush(ctx, 1) //nolint:errcheck // unacked samples stay queued
+				acked.Store(snd.Counters().Acked)
+			}
+		}
+	}()
+
+	for acked.Load() < 500 {
+		if ctx.Err() != nil {
+			t.Fatal("sender never got 500 samples acked")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	// serve may not have registered its own handler the moment it starts
+	// acking, so repeat the signal until it returns.
+	for done := false; !done; {
+		if err := syscall.Kill(syscall.Getpid(), syscall.SIGTERM); err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case err := <-served:
+			if err != nil {
+				t.Fatalf("serve: %v", err)
+			}
+			done = true
+		case <-time.After(50 * time.Millisecond):
+		case <-ctx.Done():
+			t.Fatal("serve did not return after SIGTERM")
+		}
+	}
+	cancel()
+	<-streamed
+
+	c := snd.Counters()
+	if c.ServerShed != 0 {
+		t.Errorf("shutdown acked %d samples as shed", c.ServerShed)
+	}
+	w := vmwild.NewWarehouseShards(cfg.retention, cfg.ingestShards)
+	wlog, err := vmwild.OpenWarehouseLog(w, cfg.walDir, 0, vmwild.WALOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer wlog.Close()
+	rec := wlog.Recovery()
+	if got := int64(rec.Restored + rec.Replayed); got != c.Acked {
+		t.Errorf("recovered %d samples, sender saw %d acked (%+v)", got, c.Acked, c)
+	}
+	if got := int64(w.Stats().Samples); got != c.Acked {
+		t.Errorf("reopened warehouse holds %d samples, sender saw %d acked", got, c.Acked)
+	}
+}
 
 func TestHealthEndpointsGateOnRecovery(t *testing.T) {
 	h, err := startHealth("127.0.0.1:0")

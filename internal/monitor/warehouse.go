@@ -384,6 +384,14 @@ func (w *Warehouse) serveConn(conn net.Conn) {
 				return
 			}
 		}
+		// Close pokes the read deadline after closing shutdown; checking
+		// here, after arming ours, means a poke is never overwritten
+		// unseen, and the envelope in hand has been finished and acked.
+		select {
+		case <-w.shutdown:
+			return
+		default:
+		}
 		if !sc.Scan() {
 			// EOF, read timeout, or a line beyond MaxLineBytes.
 			return
@@ -519,8 +527,10 @@ func (w *Warehouse) serveEnvelope(conn net.Conn, line []byte, batch []Sample, in
 	return true
 }
 
-// Close stops the listener, severs live agent connections (agents
-// reconnect with backoff) and waits for the handlers to drain.
+// Close stops the listener, drains the agent connections and waits for
+// their handlers to end. Each handler finishes — and acks — the envelope
+// it is serving, then stops reading, so every envelope a sender wrote is
+// either acked or left for it to retry; agents reconnect with backoff.
 func (w *Warehouse) Close() error {
 	close(w.shutdown)
 	var err error
@@ -529,7 +539,7 @@ func (w *Warehouse) Close() error {
 	}
 	w.connMu.Lock()
 	for conn := range w.conns {
-		conn.Close()
+		conn.SetReadDeadline(time.Unix(1, 0))
 	}
 	w.connMu.Unlock()
 	w.wg.Wait()
