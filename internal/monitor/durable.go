@@ -2,16 +2,15 @@ package monitor
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"sync"
 
 	"vmwild/internal/fsx"
+	"vmwild/internal/trace"
 	"vmwild/internal/wal"
 )
 
@@ -30,6 +29,9 @@ import (
 // checkpoint-before-append contract holds lane by lane. Recovery at open
 // is "restore each lane's checkpoint, replay its WAL suffix"; a crash
 // loses at most the samples the fsync policy had not yet persisted.
+//
+// WAL records and checkpoints use the binary sample codec (snapshot.go);
+// a directory checkpointed as JSON by an older build fails to open.
 //
 // A directory written by the old single-log layout (wal-*.log and
 // checkpoint-*.ckpt at the root) is migrated on open: the root log is
@@ -54,12 +56,13 @@ type journalLane struct {
 	mu          sync.Mutex
 	log         *wal.Log
 	sinceCkpt   int
-	ckptSamples int // samples in the lane's latest checkpoint
+	ckptSamples int    // samples in the lane's latest checkpoint
+	rec         []byte // reused WAL record buffer
 }
 
 // ckptGrowth is k in the lane checkpoint rule: a lane checkpoints when
 // its WAL suffix reaches 1/k of the samples its last checkpoint held, so
-// each sample pays for about k checkpoint lines plus its own WAL record.
+// each sample pays for about k checkpoint records plus its own WAL record.
 const ckptGrowth = 4
 
 // legacyMigratedMarker commits a legacy-root migration: once it exists
@@ -118,26 +121,30 @@ func lanesComplete(laneDirs []string, n int) bool {
 	return true
 }
 
-// recoverLog drains one opened log into ingest, returning the restored
-// and replayed counts.
-func recoverLog(rec *wal.Recovered, restore func(io.Reader) (int, error), ingest func(Sample)) (int, int, error) {
+// recoverLog drains one opened log into w, returning the restored and
+// replayed counts.
+func recoverLog(rec *wal.Recovered, w *Warehouse) (int, int, error) {
 	restored := 0
 	if rec.Checkpoint != nil {
-		n, err := restore(bytes.NewReader(rec.Checkpoint))
+		n, err := w.restore(rec.Checkpoint)
 		if err != nil {
 			return 0, 0, fmt.Errorf("monitor: restore wal checkpoint: %w", err)
 		}
 		restored = n
 	}
 	replayed := 0
+	intern := make(map[string]trace.ServerID)
 	for _, r := range rec.Records {
-		var s Sample
-		if err := json.Unmarshal(r, &s); err != nil {
+		s, rest, err := decodeRecord(r, intern)
+		if err == nil && len(rest) > 0 {
+			err = fmt.Errorf("%d trailing bytes", len(rest))
+		}
+		if err != nil {
 			// We framed and checksummed this record ourselves; if it is
 			// not a sample the log belongs to something else.
 			return 0, 0, fmt.Errorf("monitor: wal record is not a sample: %w", err)
 		}
-		ingest(s)
+		w.Ingest(s)
 		replayed++
 	}
 	return restored, replayed, nil
@@ -208,7 +215,7 @@ func OpenWarehouseLog(w *Warehouse, dir string, checkpointEvery int, opts wal.Op
 			return nil, fmt.Errorf("monitor: open legacy wal: %w", err)
 		}
 		wl.torn += recovered.TornBytes
-		res, rep, err := recoverLog(recovered, w.Restore, w.Ingest)
+		res, rep, err := recoverLog(recovered, w)
 		if cerr := log.Close(); err == nil && cerr != nil {
 			err = cerr
 		}
@@ -232,7 +239,7 @@ func OpenWarehouseLog(w *Warehouse, dir string, checkpointEvery int, opts wal.Op
 			continue // fresh lanes; nothing to recover
 		}
 		wl.torn += recovered.TornBytes
-		res, rep, err := recoverLog(recovered, w.Restore, w.Ingest)
+		res, rep, err := recoverLog(recovered, w)
 		if err != nil {
 			for j := 0; j <= i; j++ {
 				wl.lanes[j].log.Close()
@@ -275,7 +282,7 @@ func foldLanesToRoot(w *Warehouse, dir string, laneDirs []string, opts wal.Optio
 			return fmt.Errorf("monitor: open wal lane %s: %w", d, err)
 		}
 		*torn += recovered.TornBytes
-		_, _, err = recoverLog(recovered, scratch.Restore, scratch.Ingest)
+		_, _, err = recoverLog(recovered, scratch)
 		if cerr := log.Close(); err == nil && cerr != nil {
 			err = cerr
 		}
@@ -362,11 +369,8 @@ func (wl *WarehouseLog) journal(s Sample) error {
 			return err
 		}
 	}
-	rec, err := json.Marshal(s)
-	if err != nil {
-		return fmt.Errorf("monitor: journal sample: %w", err)
-	}
-	if err := lane.log.Append(rec); err != nil {
+	lane.rec = appendRecord(lane.rec[:0], &s)
+	if err := lane.log.Append(lane.rec); err != nil {
 		return err
 	}
 	lane.sinceCkpt++
@@ -390,12 +394,8 @@ func (wl *WarehouseLog) Checkpoint() error {
 // checkpointLane snapshots shard i into its lane's checkpoint. The caller
 // holds lane i's mutex.
 func (wl *WarehouseLog) checkpointLane(i int) error {
-	var buf bytes.Buffer
-	n, err := wl.w.snapshotShard(i, &buf)
-	if err != nil {
-		return err
-	}
-	if err := wl.lanes[i].log.Checkpoint(buf.Bytes()); err != nil {
+	payload, n := wl.w.snapshotShard(i)
+	if err := wl.lanes[i].log.Checkpoint(payload); err != nil {
 		return err
 	}
 	wl.lanes[i].sinceCkpt = 0

@@ -2,7 +2,10 @@ package monitor
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"math"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -268,5 +271,153 @@ func TestCrashReplayBounded(t *testing.T) {
 	}
 	if rec.Restored+rec.Replayed != acked {
 		t.Errorf("recovered %d+%d samples, want %d acked", rec.Restored, rec.Replayed, acked)
+	}
+}
+
+// storedSamples reads every retained sample straight from the shard
+// columns, in snapshot order, without going through any codec.
+func storedSamples(w *Warehouse) []Sample {
+	var out []Sample
+	for _, id := range w.Servers() {
+		sh := &w.shards[w.shardIndex(id)]
+		sh.mu.Lock()
+		st := sh.servers[id]
+		for i := range st.ts {
+			out = append(out, st.sampleAt(id, i))
+		}
+		sh.mu.Unlock()
+	}
+	return out
+}
+
+// TestJournalLaneSurvivesNonJSONSamples: samples JSON cannot carry (NaN,
+// ±Inf, years outside [0, 9999]) and ones it carries only approximately
+// (a sub-minute zone offset) reach a shard before the log attaches. Its
+// lane must keep checkpointing, journaling and reopening, and every field
+// must come back bit for bit.
+func TestJournalLaneSurvivesNonJSONSamples(t *testing.T) {
+	dir := t.TempDir()
+	w := NewWarehouse(0)
+	for _, s := range edgeSamples("edge") {
+		w.Ingest(s)
+	}
+	wl, err := OpenWarehouseLog(w, dir, 16, wal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := wl.Checkpoint(); err != nil {
+		t.Fatalf("checkpoint over non-JSON samples: %v", err)
+	}
+	for i := 0; i < 40; i++ {
+		s := edgeSamples("edge")[i%11]
+		s.Timestamp = s.Timestamp.Add(time.Duration(i+1) * time.Hour)
+		if err := w.IngestDurable(s); err != nil {
+			t.Fatalf("journal sample %d to the edge lane: %v", i, err)
+		}
+	}
+	if got := w.JournalErrors(); got != 0 {
+		t.Fatalf("JournalErrors = %d, want 0", got)
+	}
+	want := storedSamples(w)
+	wantSnap := snapshotBytes(t, w)
+	if err := wl.Close(); err != nil {
+		t.Fatalf("close: %v", err)
+	}
+
+	w2 := NewWarehouse(0)
+	wl2, err := OpenWarehouseLog(w2, dir, 16, wal.Options{})
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	defer wl2.Close()
+	got := storedSamples(w2)
+	if len(got) != len(want) || len(want) != 11+40 {
+		t.Fatalf("reopened %d samples, stored %d, ingested %d", len(got), len(want), 11+40)
+	}
+	for i := range want {
+		if msg := sampleMismatch(got[i], want[i]); msg != "" {
+			t.Fatalf("sample %d after reopen: %s", i, msg)
+		}
+	}
+	if !bytes.Equal(snapshotBytes(t, w2), wantSnap) {
+		t.Fatal("Snapshot bytes differ across close and reopen")
+	}
+}
+
+// TestJournalIsTransparent feeds one stream, non-finite values included,
+// to a journaled and an unjournaled warehouse: the journal must store
+// exactly what the plain warehouse stores, before and after reopen.
+func TestJournalIsTransparent(t *testing.T) {
+	dir := t.TempDir()
+	plain := NewWarehouseShards(0, 3)
+	journaled := NewWarehouseShards(0, 3)
+	wl, err := OpenWarehouseLog(journaled, dir, 16, wal.Options{Sync: wal.SyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 600; i++ {
+		s := laneSample(i)
+		switch i % 7 {
+		case 1:
+			s.PagesPerSec = math.NaN()
+		case 3:
+			s.TCPConns = math.Inf(1)
+		case 5:
+			s.Timestamp = s.Timestamp.AddDate(9000, 0, 0)
+		}
+		plain.Ingest(s)
+		if err := journaled.IngestDurable(s); err != nil {
+			t.Fatalf("journal sample %d: %v", i, err)
+		}
+	}
+	if got := journaled.JournalErrors(); got != 0 {
+		t.Fatalf("JournalErrors = %d, want 0", got)
+	}
+	want := snapshotBytes(t, plain)
+	if !bytes.Equal(snapshotBytes(t, journaled), want) {
+		t.Fatal("journaled warehouse stores something other than the plain one")
+	}
+	if err := wl.Sync(); err != nil { // a hard stop: replay, not just restore
+		t.Fatal(err)
+	}
+	reopened := NewWarehouseShards(0, 3)
+	wl2, err := OpenWarehouseLog(reopened, dir, 16, wal.Options{})
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	defer wl2.Close()
+	if !bytes.Equal(snapshotBytes(t, reopened), want) {
+		t.Fatal("reopened journal diverges from the plain warehouse")
+	}
+}
+
+// TestWarehouseLogRejectsJSONCheckpoint: lanes checkpointed as JSON lines
+// by an older build fail to open with an error naming the format, and
+// nothing from them is ingested.
+func TestWarehouseLogRejectsJSONCheckpoint(t *testing.T) {
+	dir := t.TempDir()
+	w := NewWarehouse(0)
+	for i := 0; i < w.Shards(); i++ {
+		var ckpt bytes.Buffer
+		if err := encodeSamplesJSON(&ckpt, []Sample{synthSample(i), synthSample(i + 4)}); err != nil {
+			t.Fatal(err)
+		}
+		lane, _, err := wal.Open(laneDir(dir, i), wal.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := lane.Checkpoint(ckpt.Bytes()); err != nil {
+			t.Fatal(err)
+		}
+		if err := lane.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	_, err := OpenWarehouseLog(w, dir, 16, wal.Options{})
+	if !errors.Is(err, errSnapshotFormat) || !strings.Contains(err.Error(), "binary sample snapshot") {
+		t.Fatalf("open over JSON checkpoints: err = %v, want the snapshot format error", err)
+	}
+	if got := w.Stats().Samples; got != 0 {
+		t.Fatalf("warehouse holds %d samples after a rejected open, want 0", got)
 	}
 }

@@ -133,16 +133,13 @@ func (r *refStore) snapshotBytes(t *testing.T) []byte {
 		ids = append(ids, id)
 	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
+	buf := []byte(snapshotMagic)
 	for _, id := range ids {
 		for _, s := range r.servers[id] {
-			if err := enc.Encode(s); err != nil {
-				t.Fatal(err)
-			}
+			buf = appendRecord(buf, &s)
 		}
 	}
-	return buf.Bytes()
+	return buf
 }
 
 // eqStream replays one seeded randomized stream — out-of-order arrivals,
@@ -644,11 +641,8 @@ func TestWarehouseLogLegacyMigration(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 10; i < 20; i++ {
-		rec, err := json.Marshal(synthSample(i))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := root.Append(rec); err != nil {
+		s := synthSample(i)
+		if err := root.Append(appendRecord(nil, &s)); err != nil {
 			t.Fatal(err)
 		}
 	}

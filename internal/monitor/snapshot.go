@@ -1,105 +1,191 @@
 package monitor
 
 import (
-	"bufio"
-	"encoding/json"
+	"bytes"
+	"cmp"
+	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
+	"math"
 	"slices"
+	"time"
 
 	"vmwild/internal/trace"
 )
 
-// encodeSamples writes samples as JSON lines — the snapshot format, kept
-// byte-identical to the pre-shard json.Encoder output.
-func encodeSamples(out io.Writer, samples []Sample) error {
-	bw := bufio.NewWriter(out)
-	enc := json.NewEncoder(bw)
-	for _, s := range samples {
-		if err := enc.Encode(s); err != nil {
-			return fmt.Errorf("monitor: snapshot: %w", err)
+// The binary sample codec is the one format every warehouse persistence
+// path speaks: a WAL record is one sample record, and a lane checkpoint or
+// Snapshot payload is snapshotMagic then records in server-then-timestamp
+// order. A record is the uvarint server-ID length and the ID bytes, varint
+// Unix seconds, uvarint nanoseconds (< 1e9), varint zone offset in seconds,
+// then the ten metrics as little-endian float64 bits in Sample field
+// order. That carries every sample Validate accepts exactly — years
+// UnixNano cannot hold, NaN, ±Inf, -0, subnormals — so the journal
+// persists what an unjournaled warehouse stores.
+const (
+	snapshotMagic = "VMWSMP1\n"
+	recordFloats  = 10 // the fixed float64 tail of one record
+)
+
+var (
+	errSnapshotFormat = errors.New("monitor: input is not a binary sample snapshot (no " +
+		`"VMWSMP1" magic; JSON checkpoints and snapshots from older builds are not readable)`)
+	errRecordTruncated = errors.New("monitor: truncated sample record")
+	errRecordIDLength  = errors.New("monitor: sample record server ID runs past the buffer")
+	errRecordNanos     = errors.New("monitor: sample record nanoseconds out of range")
+)
+
+// appendRecord appends s's binary record to dst.
+func appendRecord(dst []byte, s *Sample) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(s.Server)))
+	dst = append(dst, s.Server...)
+	_, off := s.Timestamp.Zone()
+	dst = binary.AppendVarint(dst, s.Timestamp.Unix())
+	dst = binary.AppendUvarint(dst, uint64(s.Timestamp.Nanosecond()))
+	dst = binary.AppendVarint(dst, int64(off))
+	for _, v := range [recordFloats]float64{
+		s.TotalProcessorPct, s.PrivilegedPct, s.UserPct, s.ProcQueueLength,
+		s.PagesPerSec, s.MemCommittedMB, s.MemCommittedPct,
+		s.DASDFreePct, s.TCPConns, s.TCPConnsV6,
+	} {
+		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(v))
+	}
+	return dst
+}
+
+// decodeRecord decodes the record at the front of b and returns the rest,
+// interning server IDs in intern like decodeBatch. It rejects a truncated
+// record, an ID that runs past b and nanoseconds >= 1e9, and never panics
+// on arbitrary input.
+func decodeRecord(b []byte, intern map[string]trace.ServerID) (Sample, []byte, error) {
+	var s Sample
+	idLen, n := binary.Uvarint(b)
+	if n <= 0 {
+		return s, nil, errRecordTruncated
+	}
+	if b = b[n:]; idLen > uint64(len(b)) {
+		return s, nil, errRecordIDLength
+	}
+	s.Server = internServer(intern, b[:idLen])
+	b = b[idLen:]
+	sec, n1 := binary.Varint(b)
+	if n1 <= 0 {
+		return s, nil, errRecordTruncated
+	}
+	nsec, n2 := binary.Uvarint(b[n1:])
+	if n2 <= 0 {
+		return s, nil, errRecordTruncated
+	}
+	if nsec >= 1e9 {
+		return s, nil, errRecordNanos
+	}
+	off, n3 := binary.Varint(b[n1+n2:])
+	if n3 <= 0 || len(b) < n1+n2+n3+8*recordFloats {
+		return s, nil, errRecordTruncated
+	}
+	b = b[n1+n2+n3:]
+	loc := time.UTC
+	if off != 0 {
+		loc = time.FixedZone("", int(off))
+	}
+	s.Timestamp = time.Unix(sec, int64(nsec)).In(loc)
+	f := func(i int) float64 { return math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:])) }
+	s.TotalProcessorPct, s.PrivilegedPct, s.UserPct, s.ProcQueueLength = f(0), f(1), f(2), f(3)
+	s.PagesPerSec, s.MemCommittedMB, s.MemCommittedPct = f(4), f(5), f(6)
+	s.DASDFreePct, s.TCPConns, s.TCPConnsV6 = f(7), f(8), f(9)
+	return s, b[8*recordFloats:], nil
+}
+
+// encodeSnapshot encodes the samples of shards (n in all) as a snapshot
+// payload, straight from their columns: the magic, then records ordered by
+// server and timestamp. The caller holds every one of those shards' locks.
+func encodeSnapshot(shards []shard, n int) []byte {
+	type server struct {
+		id trace.ServerID
+		st *serverStore
+	}
+	var servers []server
+	for i := range shards {
+		for id, st := range shards[i].servers {
+			servers = append(servers, server{id, st})
 		}
 	}
-	if err := bw.Flush(); err != nil {
-		return fmt.Errorf("monitor: snapshot flush: %w", err)
+	slices.SortFunc(servers, func(a, b server) int { return cmp.Compare(a.id, b.id) })
+	buf := make([]byte, 0, len(snapshotMagic)+n*104) // records run ~100 bytes
+	buf = append(buf, snapshotMagic...)
+	for _, sv := range servers {
+		for i := range sv.st.ts {
+			s := sv.st.sampleAt(sv.id, i)
+			buf = appendRecord(buf, &s)
+		}
+	}
+	return buf
+}
+
+// Snapshot writes every retained sample in the binary snapshot format,
+// ordered by server and timestamp — the warehouse's durability path, so a
+// restarted central server does not lose its 30-day planning history. It
+// encodes under every shard lock (taken in shard index order; no other
+// path holds two shard locks at once), so the payload is a consistent
+// point-in-time cut, and it is byte-deterministic.
+func (w *Warehouse) Snapshot(out io.Writer) error {
+	total := 0
+	for i := range w.shards {
+		w.shards[i].mu.Lock()
+		total += w.shards[i].samples
+	}
+	buf := encodeSnapshot(w.shards, total)
+	for i := range w.shards {
+		w.shards[i].mu.Unlock()
+	}
+	if _, err := out.Write(buf); err != nil {
+		return fmt.Errorf("monitor: snapshot: %w", err)
 	}
 	return nil
 }
 
-// copyAll reassembles every retained sample ordered by server then
-// storage (timestamp) order, holding all shard locks for the copy so the
-// result is a consistent point-in-time cut. Locks are taken in shard
-// index order; no other path holds two shard locks at once.
-func (w *Warehouse) copyAll() []Sample {
-	for i := range w.shards {
-		w.shards[i].mu.Lock()
-	}
-	total := 0
-	var ids []trace.ServerID
-	for i := range w.shards {
-		total += w.shards[i].samples
-		for id := range w.shards[i].servers {
-			ids = append(ids, id)
-		}
-	}
-	slices.Sort(ids)
-	samples := make([]Sample, 0, total)
-	for _, id := range ids {
-		st := w.shards[w.shardIndex(id)].servers[id]
-		for i := range st.ts {
-			samples = append(samples, st.sampleAt(id, i))
-		}
-	}
-	for i := range w.shards {
-		w.shards[i].mu.Unlock()
-	}
-	return samples
-}
-
-// Snapshot writes every retained sample as JSON lines, ordered by server
-// and timestamp — the warehouse's durability path, so a restarted central
-// server does not lose its 30-day planning history.
-func (w *Warehouse) Snapshot(out io.Writer) error {
-	return encodeSamples(out, w.copyAll())
-}
-
-// snapshotShard writes shard k's retained samples in snapshot format —
-// the per-shard WAL checkpoint payload — and returns how many it wrote.
-// The caller must not hold shard k's lock.
-func (w *Warehouse) snapshotShard(k int, out io.Writer) (int, error) {
+// snapshotShard encodes shard k's retained samples in snapshot format —
+// the per-shard WAL checkpoint payload — and returns it with the number
+// of samples it holds. The caller must not hold shard k's lock.
+func (w *Warehouse) snapshotShard(k int) ([]byte, int) {
 	sh := &w.shards[k]
 	sh.mu.Lock()
-	ids := make([]trace.ServerID, 0, len(sh.servers))
-	for id := range sh.servers {
-		ids = append(ids, id)
-	}
-	slices.Sort(ids)
-	samples := make([]Sample, 0, sh.samples)
-	for _, id := range ids {
-		st := sh.servers[id]
-		for i := range st.ts {
-			samples = append(samples, st.sampleAt(id, i))
-		}
-	}
-	sh.mu.Unlock()
-	return len(samples), encodeSamples(out, samples)
+	defer sh.mu.Unlock()
+	return encodeSnapshot(w.shards[k:k+1], sh.samples), sh.samples
 }
 
 // Restore ingests a snapshot previously written by Snapshot, applying the
 // warehouse's usual validation and retention. It returns the number of
-// samples read.
+// samples read. Empty input is an empty snapshot; input without the
+// snapshot magic is rejected before anything is ingested.
 func (w *Warehouse) Restore(in io.Reader) (int, error) {
-	dec := json.NewDecoder(bufio.NewReader(in))
+	b, err := io.ReadAll(in)
+	if err != nil {
+		return 0, fmt.Errorf("monitor: restore: %w", err)
+	}
+	return w.restore(b)
+}
+
+// restore is Restore over an in-memory payload (a lane checkpoint).
+func (w *Warehouse) restore(b []byte) (int, error) {
+	if len(b) == 0 {
+		return 0, nil
+	}
+	rest, ok := bytes.CutPrefix(b, []byte(snapshotMagic))
+	if !ok {
+		return 0, errSnapshotFormat
+	}
+	intern := make(map[string]trace.ServerID)
 	n := 0
-	for {
-		var s Sample
-		if err := dec.Decode(&s); err != nil {
-			if err == io.EOF {
-				return n, nil
-			}
+	for len(rest) > 0 {
+		s, tail, err := decodeRecord(rest, intern)
+		if err != nil {
 			return n, fmt.Errorf("monitor: restore sample %d: %w", n+1, err)
 		}
 		w.Ingest(s)
 		n++
+		rest = tail
 	}
+	return n, nil
 }

@@ -1,11 +1,9 @@
 package scenario
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
-	"io"
+	"math"
 	"time"
 
 	"vmwild/internal/chaos"
@@ -381,25 +379,27 @@ func (r *chaosRig) checkAccounting() error {
 	return nil
 }
 
-// survivors decodes the warehouse snapshot — every retained sample ordered
-// by server then timestamp.
+// survivors reads every retained sample's hot columns — server,
+// timestamp, CPU and memory, the fields the identity checks compare —
+// ordered by server then timestamp. The rig reads it once its senders
+// have flushed, so the warehouse is quiescent.
 func (r *chaosRig) survivors() ([]monitor.Sample, error) {
-	var buf bytes.Buffer
-	if err := r.wh.Snapshot(&buf); err != nil {
-		return nil, err
-	}
-	dec := json.NewDecoder(&buf)
 	var out []monitor.Sample
-	for {
-		var s monitor.Sample
-		if err := dec.Decode(&s); err != nil {
-			if err == io.EOF {
-				return out, nil
-			}
-			return nil, fmt.Errorf("decode snapshot: %w", err)
+	for _, id := range r.wh.Servers() {
+		points, err := r.wh.Range(id, math.MinInt64, math.MaxInt64)
+		if err != nil {
+			return nil, err
 		}
-		out = append(out, s)
+		for _, p := range points {
+			out = append(out, monitor.Sample{
+				Server:            id,
+				Timestamp:         time.Unix(0, p.TS).UTC(),
+				TotalProcessorPct: p.CPU,
+				MemCommittedMB:    p.Mem,
+			})
+		}
 	}
+	return out, nil
 }
 
 // verifyIdentity is the wall's strongest invariant, in three layers:

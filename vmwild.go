@@ -348,7 +348,9 @@ type (
 	MonitorSource = monitor.Source
 	// MonitorAgent is the per-server collector.
 	MonitorAgent = monitor.Agent
-	// Warehouse is the central monitoring store.
+	// Warehouse is the central monitoring store. Its Snapshot and Restore
+	// write and read the binary sample snapshot its WAL lane checkpoints
+	// use; JSON snapshots from older builds are rejected, not loaded.
 	Warehouse = monitor.Warehouse
 )
 
@@ -411,7 +413,8 @@ type (
 	WALOptions = wal.Options
 	// SyncPolicy selects when the WAL reaches the disk.
 	SyncPolicy = wal.SyncPolicy
-	// WarehouseLog journals warehouse ingestion and checkpoints its state.
+	// WarehouseLog journals warehouse ingestion (one binary record per
+	// sample) and checkpoints its state.
 	WarehouseLog = monitor.WarehouseLog
 	// WarehouseRecovery summarizes what OpenWarehouseLog reconstructed.
 	WarehouseRecovery = monitor.RecoveryStat
