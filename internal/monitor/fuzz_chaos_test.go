@@ -23,6 +23,8 @@ func FuzzChaosProxy(f *testing.F) {
 	f.Add([]byte(`[{"server":"a","ts":"2012-06-04T00:00:00Z"},]`))
 	f.Add([]byte(`{"batch":18446744073709551615,"agent":"","crc":0,"samples":[]}`))
 	f.Add([]byte(`{"op":"series","server":"a","cpuRPE2":1e308}`))
+	f.Add([]byte(`{"op":"set","epoch":"2012-06-04T00:00:00Z","specs":{"a":2000,"b":-1}}`))
+	f.Add([]byte(`{"op":"set","consistent":true,"specs":{"a":1e308}}`))
 	f.Add([]byte{0xff, 0xfe, '{', '"', 'b', 'a', 't', 'c', 'h', '"', ':'})
 
 	f.Fuzz(func(t *testing.T, line []byte) {

@@ -488,6 +488,52 @@ func TestQueryWriteDeadlineErrorClosesConn(t *testing.T) {
 	}
 }
 
+// deadlineRecConn records the write deadlines armed on it.
+type deadlineRecConn struct {
+	net.Conn
+	armed chan time.Time
+}
+
+func (c deadlineRecConn) SetWriteDeadline(d time.Time) error {
+	c.armed <- d
+	return c.Conn.SetWriteDeadline(d)
+}
+
+// TestQueryWriteTimeoutDefault: with WriteTimeout unset, a response still
+// goes out under a deadline batchWriteTimeout ahead — the warehouse's rule —
+// so a planner that stops reading cannot pin a pool worker in Write.
+func TestQueryWriteTimeoutDefault(t *testing.T) {
+	qs := NewQueryServer(seedWarehouse(t))
+	client, server := net.Pipe()
+	defer client.Close()
+	conn := deadlineRecConn{Conn: server, armed: make(chan time.Time, 8)}
+	done := make(chan struct{})
+	qs.wg.Add(1)
+	go func() {
+		qs.serveConn(conn)
+		close(done)
+	}()
+
+	client.SetDeadline(time.Now().Add(5 * time.Second))
+	start := time.Now()
+	if _, err := client.Write([]byte(`{"op":"stats"}` + "\n")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := bufio.NewReader(client).ReadBytes('\n'); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case d := <-conn.armed:
+		if ahead := d.Sub(start); ahead < batchWriteTimeout-time.Second || ahead > batchWriteTimeout+time.Second {
+			t.Fatalf("write deadline %v ahead, want ~%v", ahead, batchWriteTimeout)
+		}
+	default:
+		t.Fatal("response written with no write deadline")
+	}
+	client.Close()
+	<-done
+}
+
 func TestQueryHalfClosedPeerClosesConn(t *testing.T) {
 	qs := NewQueryServer(seedWarehouse(t))
 	qs.WriteTimeout = 200 * time.Millisecond

@@ -38,6 +38,8 @@ import (
 //	 "to":1338771600000000000}              -> {"ok":true,"points":[...]}
 //	{"op":"advise","cpuRPE2":2000,
 //	 "memMB":16384,"epoch":"..."}           -> {"ok":true,"advice":{...}}
+//	{"op":"set","epoch":"...",
+//	 "specs":{"x":2000,...}}                -> {"ok":true,"bytes":B} + body
 //
 // Pipelining: a request may carry a positive "id". Identified requests are
 // fanned out to a bounded worker pool and may be answered OUT OF ORDER;
@@ -63,8 +65,15 @@ import (
 // (no id on a lockstep request), which is what lets the client recognise
 // the line and decode it without a JSON parse; see decodeSeriesLine.
 //
-// Errors come back as {"ok":false,"error":"..."} and keep the connection
-// usable for further requests.
+// A set is every server's series in server order, CPU scaled by the rating
+// "specs" maps the server to; a monitored server missing there fails it.
+// Its line is followed by a body of exactly B raw bytes: per server a
+// uvarint ID length, the ID, a uvarint hour count, then the hours as the
+// same 16-byte pairs. B is bounded by maxResponseBytes (64 MiB, ~5.8k
+// servers of 30 days; the paper's largest data center has 1,390).
+//
+// Errors come back as {"ok":false,"error":"..."} with no body and keep the
+// connection usable for further requests.
 
 // queryRequest is the wire format of one request.
 type queryRequest struct {
@@ -88,6 +97,8 @@ type queryRequest struct {
 	// names the catalog target model (default the reference blade).
 	WindowHours int    `json:"windowHours,omitempty"`
 	Host        string `json:"host,omitempty"`
+	// Specs maps each server to its CPU rating for a set.
+	Specs map[trace.ServerID]float64 `json:"specs,omitempty"`
 }
 
 // queryResponse is the wire format of one response, on both ends of the
@@ -103,15 +114,21 @@ type queryResponse struct {
 	Usage  string       `json:"usage,omitempty"`
 	Points []RangePoint `json:"points,omitempty"`
 	Advice *Advice      `json:"advice,omitempty"`
+	// Bytes is the length of the set body that follows the line.
+	Bytes int `json:"bytes,omitempty"`
 
 	// body, when set server-side, is the pre-marshaled response line after
 	// its opening brace (every series answer; memoized on the snapshot for a
 	// replica one); the writer splices the id in front instead of marshaling
 	// the struct. Never serialized itself.
 	body []byte
+	// raw, when set server-side, is the set body written after the line.
+	raw []byte
 	// samples, when set client-side, is Usage already unpacked: the reader
 	// recognised a series line and skipped the JSON parse (decodeSeriesLine).
 	samples []trace.Usage
+	// set, when set client-side, is the decoded set body.
+	set []setSeries
 }
 
 // usageWireBytes is one hourly sample on the wire: CPU then Mem, float64
@@ -135,14 +152,29 @@ func appendUsage(dst []byte, samples []trace.Usage) []byte {
 	var raw [usageBlockBytes]byte
 	for len(samples) > 0 {
 		k := min(usageBlock, len(samples))
-		for i, u := range samples[:k] {
-			binary.LittleEndian.PutUint64(raw[i*usageWireBytes:], math.Float64bits(u.CPU))
-			binary.LittleEndian.PutUint64(raw[i*usageWireBytes+8:], math.Float64bits(u.Mem))
-		}
+		putUsage(raw[:], samples[:k])
 		dst = base64.StdEncoding.AppendEncode(dst, raw[:k*usageWireBytes])
 		samples = samples[k:]
 	}
 	return dst
+}
+
+// putUsage writes samples' wire pairs to the front of raw.
+func putUsage(raw []byte, samples []trace.Usage) {
+	for i, u := range samples {
+		binary.LittleEndian.PutUint64(raw[i*usageWireBytes:], math.Float64bits(u.CPU))
+		binary.LittleEndian.PutUint64(raw[i*usageWireBytes+8:], math.Float64bits(u.Mem))
+	}
+}
+
+// getUsage is putUsage's inverse: it fills dst from the front of raw.
+func getUsage(dst []trace.Usage, raw []byte) {
+	for i := range dst {
+		dst[i] = trace.Usage{
+			CPU: math.Float64frombits(binary.LittleEndian.Uint64(raw[i*usageWireBytes:])),
+			Mem: math.Float64frombits(binary.LittleEndian.Uint64(raw[i*usageWireBytes+8:])),
+		}
+	}
 }
 
 // seriesBody is a series response line after its opening brace — exactly
@@ -178,12 +210,7 @@ func unpackUsage(b64 []byte) ([]trace.Usage, error) {
 		if m, err := base64.StdEncoding.Decode(raw[:], chunk); err != nil || m != k*usageWireBytes {
 			return nil, errUsagePayload
 		}
-		for i := range rest[:k] {
-			rest[i] = trace.Usage{
-				CPU: math.Float64frombits(binary.LittleEndian.Uint64(raw[i*usageWireBytes:])),
-				Mem: math.Float64frombits(binary.LittleEndian.Uint64(raw[i*usageWireBytes+8:])),
-			}
-		}
+		getUsage(rest[:k], raw[:])
 		rest = rest[k:]
 	}
 	return out, nil
@@ -236,6 +263,73 @@ func decodeResponseLine(line []byte) (queryResponse, error) {
 	return resp, err
 }
 
+// setSeries is one server's entry in a set body.
+type setSeries struct {
+	id    trace.ServerID
+	hours []trace.Usage
+}
+
+var errSetBody = errors.New("monitor: malformed set body")
+
+// appendSetEntry appends one server's entry to a set body: uvarint ID
+// length, the ID, uvarint hour count, then the hours' wire pairs.
+func appendSetEntry(dst []byte, id trace.ServerID, hours []trace.Usage) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(id)))
+	dst = append(dst, id...)
+	dst = binary.AppendUvarint(dst, uint64(len(hours)))
+	n := len(dst)
+	dst = slices.Grow(dst, len(hours)*usageWireBytes)[:n+len(hours)*usageWireBytes]
+	putUsage(dst[n:], hours)
+	return dst
+}
+
+// decodeSetBody reads an n-byte set body off rd, appendSetEntry's strict
+// inverse: a varint that is not minimal, an empty ID, an ID or hour count
+// that runs past the body, or a stream that ends early is an error.
+func decodeSetBody(rd *bufio.Reader, n int) ([]setSeries, error) {
+	if n < 0 || n > maxResponseBytes {
+		return nil, errSetBody
+	}
+	uvarint := func() (int, error) {
+		b, _ := rd.Peek(min(n, binary.MaxVarintLen64))
+		v, k := binary.Uvarint(b)
+		var minimal [binary.MaxVarintLen64]byte
+		if k <= 0 || binary.PutUvarint(minimal[:], v) != k || v > uint64(n-k) {
+			return 0, errSetBody
+		}
+		rd.Discard(k) //nolint:errcheck // peeked
+		n -= k
+		return int(v), nil
+	}
+	var out []setSeries
+	var raw [usageBlockBytes]byte
+	for n > 0 {
+		l, err := uvarint()
+		id, perr := rd.Peek(l)
+		if err != nil || l == 0 || perr != nil {
+			return nil, errSetBody
+		}
+		s := setSeries{id: trace.ServerID(id)}
+		rd.Discard(l) //nolint:errcheck // peeked
+		n -= l
+		h, err := uvarint()
+		if err != nil || h > n/usageWireBytes {
+			return nil, errSetBody
+		}
+		n -= h * usageWireBytes
+		s.hours = make([]trace.Usage, h)
+		for i := 0; i < h; i += usageBlock {
+			block := s.hours[i:min(i+usageBlock, h)]
+			if _, err := io.ReadFull(rd, raw[:len(block)*usageWireBytes]); err != nil {
+				return nil, err
+			}
+			getUsage(block, raw[:])
+		}
+		out = append(out, s)
+	}
+	return out, nil
+}
+
 // DefaultQueryWorkers sizes the pipelined worker pool when Workers is 0.
 const DefaultQueryWorkers = 8
 
@@ -258,8 +352,9 @@ type QueryServer struct {
 	// a connection exceeding it is closed. Malformed requests within the
 	// bound get an error response and the connection stays usable.
 	MaxLineBytes int
-	// WriteTimeout bounds each response write (0 disables) — a client
-	// that stops draining responses is cut, not waited on forever.
+	// WriteTimeout bounds each response write (0 falls back to
+	// batchWriteTimeout, as the warehouse's does) — a client that stops
+	// draining responses is cut, not waited on forever.
 	WriteTimeout time.Duration
 	// MaxConns caps concurrently served query connections (0 =
 	// unbounded); like the warehouse gate, the slot is taken before
@@ -373,9 +468,7 @@ func (qs *QueryServer) acceptLoop(lis net.Listener) {
 			// is under pressure, with an explicit error so the planner
 			// backs off knowingly.
 			qs.rejected.Add(1)
-			if qs.WriteTimeout > 0 {
-				conn.SetWriteDeadline(time.Now().Add(qs.WriteTimeout))
-			}
+			conn.SetWriteDeadline(time.Now().Add(writeTimeout(qs.WriteTimeout)))
 			resp, _ := json.Marshal(queryResponse{Error: "server under pressure, retry later"})
 			conn.Write(append(resp, '\n')) //nolint:errcheck
 			conn.Close()
@@ -450,14 +543,12 @@ func (qc *queryConn) writeResp(resp queryResponse) bool {
 	}
 	qc.wmu.Lock()
 	defer qc.wmu.Unlock()
-	if qc.qs.WriteTimeout > 0 {
-		if err := qc.conn.SetWriteDeadline(time.Now().Add(qc.qs.WriteTimeout)); err != nil {
-			// A connection that cannot arm its write deadline must not
-			// write without one — mirror of the read-side rule.
-			qc.qs.slowClients.Add(1)
-			qc.conn.Close()
-			return false
-		}
+	if err := qc.conn.SetWriteDeadline(time.Now().Add(writeTimeout(qc.qs.WriteTimeout))); err != nil {
+		// A connection that cannot arm its write deadline must not write
+		// without one — mirror of the read-side rule.
+		qc.qs.slowClients.Add(1)
+		qc.conn.Close()
+		return false
 	}
 	var werr error
 	if resp.body != nil {
@@ -478,8 +569,8 @@ func (qc *queryConn) writeResp(resp queryResponse) bool {
 				werr = qc.bw.WriteByte('\n')
 			}
 		}
-	} else {
-		_, werr = qc.bw.Write(data)
+	} else if _, werr = qc.bw.Write(data); werr == nil {
+		_, werr = qc.bw.Write(resp.raw)
 	}
 	// The decrement happens under wmu, so at most one writer sees zero and
 	// it is the one whose response is last in the buffer.
@@ -743,9 +834,50 @@ func (qs *QueryServer) handle(req queryRequest) queryResponse {
 			return queryResponse{Error: err.Error()}
 		}
 		return queryResponse{OK: true, Advice: advice}
+	case "set":
+		if !useRep {
+			rep = nil
+		}
+		body, err := qs.setBody(req, rep)
+		if err != nil {
+			return queryResponse{Error: err.Error()}
+		}
+		return queryResponse{OK: true, Bytes: len(body), raw: body}
 	default:
 		return queryResponse{Error: fmt.Sprintf("unknown op %q", req.Op)}
 	}
+}
+
+// setBody answers a set request off rep, or off the live shards when rep
+// is nil. Each server's hours pass through one pooled slice on their way
+// into the body; no per-server series outlives its entry.
+func (qs *QueryServer) setBody(req queryRequest, rep *replicaSet) ([]byte, error) {
+	hours, servers := qs.warehouse.hours, qs.warehouse.Servers
+	if rep != nil {
+		hours, servers = rep.hours, rep.serverIDs
+	}
+	scratch := usageScratchPool.Get().(*[]trace.Usage)
+	defer usageScratchPool.Put(scratch)
+	var body []byte
+	ids := servers()
+	for _, id := range ids {
+		cpu, ok := req.Specs[id]
+		if !ok {
+			return nil, fmt.Errorf("monitor: no spec for server %s", id)
+		}
+		var err error
+		if *scratch, err = hours(*scratch, id, trace.Spec{CPURPE2: cpu}, req.Epoch); err != nil {
+			return nil, err
+		}
+		if body == nil {
+			// A fleet's series run to about one length: size from the first.
+			body = make([]byte, 0, len(ids)*(len(id)+len(*scratch)*usageWireBytes+2*binary.MaxVarintLen32))
+		}
+		if body = appendSetEntry(body, id, *scratch); len(body) > maxResponseBytes {
+			return nil, fmt.Errorf("monitor: set body exceeds %d bytes", maxResponseBytes)
+		}
+	}
+	return body, nil
 }
 
 // Close stops the query listener, severs live client connections and waits
@@ -772,7 +904,8 @@ func (qs *QueryServer) Close() error {
 // number of calls may be in flight at once.
 type QueryClient struct {
 	// Timeout bounds each request/response exchange (0 disables) so a
-	// hung server cannot stall the control loop indefinitely.
+	// hung server cannot stall the control loop indefinitely. A FetchSet is
+	// one exchange, so it bounds the whole fleet pull.
 	Timeout time.Duration
 	// Consistent routes every request from this client to the live
 	// shards, bypassing the replica layer.
@@ -797,11 +930,11 @@ type QueryClient struct {
 	done       chan struct{}
 }
 
-// maxResponseLineBytes bounds one response line; a longer one ends the
-// connection, as an oversized request does on the server. A year of hourly
-// series is under 200 KB and a month of per-minute range points under
-// 3 MB, so this is far past anything the server answers with.
-const maxResponseLineBytes = 64 << 20
+// maxResponseBytes bounds one response line, and one set body; a longer
+// one ends the connection, as an oversized request does on the server. A
+// year of hourly series is under 200 KB and a month of per-minute range
+// points under 3 MB; a set body of 30-day series holds ~5.8k servers.
+const maxResponseBytes = 64 << 20
 
 // DialQuery connects to a query server.
 func DialQuery(ctx context.Context, addr string) (*QueryClient, error) {
@@ -835,15 +968,20 @@ func (c *QueryClient) startReader() {
 		rd := bufio.NewReaderSize(c.conn, 64<<10)
 		var overflow []byte
 		for {
-			line, err := readQueryLine(rd, &overflow, maxResponseLineBytes)
+			line, err := readQueryLine(rd, &overflow, maxResponseBytes)
 			var resp queryResponse
 			if err == nil {
 				resp, err = decodeResponseLine(line)
 			}
+			if err == nil && resp.Bytes != 0 {
+				// The set body is read even when its call has timed out, so
+				// the stream stays in step.
+				resp.set, err = decodeSetBody(rd, resp.Bytes)
+			}
 			if err != nil {
 				// The stream is lost past this point — EOF, an oversized
-				// line, bytes that are not a response: every call fails and
-				// the connection ends.
+				// line, bytes that are not a response or a set body: every
+				// call fails and the connection ends.
 				c.mu.Lock()
 				if c.readErr == nil {
 					c.readErr = fmt.Errorf("monitor: read response: %w", err)
@@ -1019,153 +1157,24 @@ func (c *QueryClient) Advise(spec trace.Spec, epoch time.Time, windowHours int) 
 	return resp.Advice, nil
 }
 
-// fetchSetInflight bounds FetchSet's pipelined fan-out per connection.
-const fetchSetInflight = 16
-
-// fetchSeries fills results[i] for every index in idx, keeping up to
-// inflight series requests pipelined on c. First error wins.
-func fetchSeries(c *QueryClient, ids []trace.ServerID, idx []int, specs map[trace.ServerID]trace.Spec, epoch time.Time, results []*trace.ServerTrace, inflight int) error {
-	sem := make(chan struct{}, inflight)
-	var (
-		wg       sync.WaitGroup
-		errMu    sync.Mutex
-		firstErr error
-	)
-	for _, i := range idx {
-		errMu.Lock()
-		failed := firstErr != nil
-		errMu.Unlock()
-		if failed {
-			break
-		}
-		id := ids[i]
-		spec := specs[id]
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(i int, id trace.ServerID, spec trace.Spec) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			series, err := c.HourlySeries(id, spec, epoch)
-			if err != nil {
-				errMu.Lock()
-				if firstErr == nil {
-					firstErr = err
-				}
-				errMu.Unlock()
-				return
-			}
-			results[i] = &trace.ServerTrace{ID: id, Spec: spec, Series: series}
-		}(i, id, spec)
-	}
-	wg.Wait()
-	return firstErr
-}
-
 // FetchSet pulls every monitored server into a trace set, given each
 // server's hardware spec — the remote analogue of Warehouse.CollectSet and
-// the input to consolidation planning. Per-server series requests are
-// pipelined over the connection (up to 16 in flight) instead of paying one
-// lockstep round trip each; the result is ordered by server ID exactly as
-// before.
+// the input to consolidation planning — in one set request, ordered by
+// server ID.
 func (c *QueryClient) FetchSet(name string, specs map[trace.ServerID]trace.Spec, epoch time.Time) (*trace.Set, error) {
-	ids, err := c.Servers()
+	req := queryRequest{Op: "set", Epoch: epoch, Specs: make(map[trace.ServerID]float64, len(specs))}
+	for id, spec := range specs {
+		req.Specs[id] = spec.CPURPE2
+	}
+	resp, err := c.roundTrip(req)
 	if err != nil {
 		return nil, err
 	}
-	for _, id := range ids {
-		if _, ok := specs[id]; !ok {
-			return nil, fmt.Errorf("monitor: no spec for server %s", id)
-		}
+	set := &trace.Set{Name: name, Servers: make([]*trace.ServerTrace, len(resp.set))}
+	for i, s := range resp.set {
+		// A server the request named no spec for fails Validate.
+		set.Servers[i] = &trace.ServerTrace{ID: s.id, Spec: specs[s.id], Series: &trace.Series{Step: time.Hour, Samples: s.hours}}
 	}
-	results := make([]*trace.ServerTrace, len(ids))
-	idx := make([]int, len(ids))
-	for i := range idx {
-		idx[i] = i
-	}
-	if err := fetchSeries(c, ids, idx, specs, epoch, results, fetchSetInflight); err != nil {
-		return nil, err
-	}
-	set := &trace.Set{Name: name, Servers: results}
-	if err := set.Validate(); err != nil {
-		return nil, err
-	}
-	return set, nil
-}
-
-// FetchSetParallel is FetchSet over conns parallel connections: servers
-// are split across the connections and each fetches its share pipelined —
-// the bounded fan-out helper for pulling a large estate. The result is
-// identical to (and ordered like) a single-connection FetchSet.
-func FetchSetParallel(ctx context.Context, addr, name string, specs map[trace.ServerID]trace.Spec, epoch time.Time, conns int) (*trace.Set, error) {
-	if conns <= 1 {
-		c, err := DialQuery(ctx, addr)
-		if err != nil {
-			return nil, err
-		}
-		defer c.Close()
-		return c.FetchSet(name, specs, epoch)
-	}
-	c0, err := DialQuery(ctx, addr)
-	if err != nil {
-		return nil, err
-	}
-	defer c0.Close()
-	ids, err := c0.Servers()
-	if err != nil {
-		return nil, err
-	}
-	for _, id := range ids {
-		if _, ok := specs[id]; !ok {
-			return nil, fmt.Errorf("monitor: no spec for server %s", id)
-		}
-	}
-	if conns > len(ids) && len(ids) > 0 {
-		conns = len(ids)
-	}
-	results := make([]*trace.ServerTrace, len(ids))
-	var (
-		wg       sync.WaitGroup
-		errMu    sync.Mutex
-		firstErr error
-	)
-	record := func(err error) {
-		errMu.Lock()
-		if firstErr == nil {
-			firstErr = err
-		}
-		errMu.Unlock()
-	}
-	for part := 0; part < conns; part++ {
-		var idx []int
-		for i := part; i < len(ids); i += conns {
-			idx = append(idx, i)
-		}
-		if len(idx) == 0 {
-			continue
-		}
-		wg.Add(1)
-		go func(part int, idx []int) {
-			defer wg.Done()
-			c := c0
-			if part > 0 {
-				var err error
-				c, err = DialQuery(ctx, addr)
-				if err != nil {
-					record(err)
-					return
-				}
-				defer c.Close()
-			}
-			if err := fetchSeries(c, ids, idx, specs, epoch, results, fetchSetInflight); err != nil {
-				record(err)
-			}
-		}(part, idx)
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	set := &trace.Set{Name: name, Servers: results}
 	if err := set.Validate(); err != nil {
 		return nil, err
 	}

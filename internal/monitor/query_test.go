@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"math"
 	"net"
+	"strings"
 	"testing"
 	"time"
 
@@ -35,7 +36,7 @@ func seedWarehouse(t *testing.T) *Warehouse {
 
 func TestQueryRoundTrip(t *testing.T) {
 	w := seedWarehouse(t)
-	addr, _ := startQueryServer(t, w)
+	addr, qs := startQueryServer(t, w)
 
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
@@ -74,11 +75,17 @@ func TestQueryRoundTrip(t *testing.T) {
 		t.Errorf("hour 0 = %+v", series.Samples[0])
 	}
 
-	set, err := c.FetchSet("dc", map[trace.ServerID]trace.Spec{"a": spec, "b": spec}, epoch)
+	// The whole pull is one pooled request; a spec for a server the
+	// warehouse does not hold is ignored.
+	pooled := qs.Metrics().PooledRequests
+	set, err := c.FetchSet("dc", map[trace.ServerID]trace.Spec{"a": spec, "b": spec, "gone": spec}, epoch)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(set.Servers) != 2 {
+	if n := qs.Metrics().PooledRequests - pooled; n != 1 {
+		t.Errorf("FetchSet made %d pooled requests, want 1", n)
+	}
+	if len(set.Servers) != 2 || set.Servers[0].ID != "a" || set.Servers[1].ID != "b" {
 		t.Fatalf("fetched %d servers", len(set.Servers))
 	}
 	if math.Abs(set.Servers[1].Series.Samples[0].CPU-400) > 1e-9 {
@@ -88,6 +95,9 @@ func TestQueryRoundTrip(t *testing.T) {
 
 func TestQueryErrors(t *testing.T) {
 	w := seedWarehouse(t)
+	if err := w.EnableReplicas(ReplicaConfig{NoBackground: true}); err != nil {
+		t.Fatal(err)
+	}
 	addr, _ := startQueryServer(t, w)
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
@@ -105,9 +115,28 @@ func TestQueryErrors(t *testing.T) {
 	if _, err := c.Servers(); err != nil {
 		t.Errorf("connection unusable after error: %v", err)
 	}
-	// Missing spec in FetchSet.
-	if _, err := c.FetchSet("dc", map[trace.ServerID]trace.Spec{"a": {CPURPE2: 1, MemMB: 1}}, epoch); err == nil {
-		t.Error("expected error for missing spec")
+	// FetchSet failures, replica and live alike; each leaves the
+	// connection serving.
+	spec := trace.Spec{CPURPE2: 1, MemMB: 1}
+	for _, consistent := range []bool{false, true} {
+		c.Consistent = consistent
+		for _, tc := range []struct {
+			name  string
+			specs map[trace.ServerID]trace.Spec
+			epoch time.Time
+			want  string
+		}{
+			{"missing spec", map[trace.ServerID]trace.Spec{"a": spec}, epoch, "no spec for server b"},
+			{"no CPU rating", map[trace.ServerID]trace.Spec{"a": spec, "b": {MemMB: 1}}, epoch, errNoCPURating.Error()},
+			{"epoch after first sample", map[trace.ServerID]trace.Spec{"a": spec, "b": spec}, epoch.Add(time.Hour), errPrecedeEpoch.Error()},
+		} {
+			if _, err := c.FetchSet("dc", tc.specs, tc.epoch); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("consistent=%v, %s: err = %v, want %q", consistent, tc.name, err, tc.want)
+			}
+			if s, err := c.HourlySeries("a", spec, epoch); err != nil || s.Len() != 2 {
+				t.Fatalf("consistent=%v, after %s: series = %v, %v", consistent, tc.name, s, err)
+			}
+		}
 	}
 }
 

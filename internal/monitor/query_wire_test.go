@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/base64"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -37,8 +38,9 @@ func dialQueryT(t *testing.T, addr string) *QueryClient {
 }
 
 // scriptedQueryServer answers every request line on one connection with
-// {"id":N, + body(request) + newline, for payloads no warehouse produces.
-func scriptedQueryServer(t *testing.T, body func(queryRequest) []byte) string {
+// {"id":N, + line + newline, then tail, where answer(request) gives line and
+// tail — payloads no warehouse produces.
+func scriptedQueryServer(t *testing.T, answer func(queryRequest) (line, tail []byte)) string {
 	t.Helper()
 	lis, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -57,9 +59,10 @@ func scriptedQueryServer(t *testing.T, body func(queryRequest) []byte) string {
 			if json.Unmarshal(sc.Bytes(), &req) != nil {
 				return
 			}
-			line := strconv.AppendUint([]byte(`{"id":`), req.ID, 10)
-			line = append(append(append(line, ','), body(req)...), '\n')
-			if _, err := conn.Write(line); err != nil {
+			line, tail := answer(req)
+			out := strconv.AppendUint([]byte(`{"id":`), req.ID, 10)
+			out = append(append(append(append(out, ','), line...), '\n'), tail...)
+			if _, err := conn.Write(out); err != nil {
 				return
 			}
 		}
@@ -74,7 +77,9 @@ func hours(samples []trace.Usage) *trace.Series {
 
 // TestSeriesWireCarriesEveryBitPattern: values a decimal rendering loses or
 // refuses — -0, subnormals, MaxFloat64, infinities, NaNs with payloads —
-// reach the client with the bits the server packed.
+// reach the client with the bits the server packed, in a series line and in
+// a set body. A set call that times out leaves its late body to the reader,
+// and the connection goes on serving.
 func TestSeriesWireCarriesEveryBitPattern(t *testing.T) {
 	want := []trace.Usage{
 		{CPU: math.Copysign(0, -1), Mem: 0},
@@ -85,16 +90,46 @@ func TestSeriesWireCarriesEveryBitPattern(t *testing.T) {
 		{CPU: math.NaN(), Mem: math.Float64frombits(0x7ff0000000000001)}, // quiet and signaling
 		{CPU: math.Float64frombits(0xfff8dead0000beef), Mem: 0.1},
 	}
+	set := appendSetEntry(appendSetEntry(nil, "x", want), "y", want[4:5])
+	release := make(chan struct{})
 	// The scripted server answers lastHours=n+1 with the first n samples:
-	// every prefix, so each base64 padding length is crossed.
-	addr := scriptedQueryServer(t, func(req queryRequest) []byte { return seriesBody(want[:req.LastHours-1]) })
+	// every prefix, so each base64 padding length is crossed. It holds a
+	// set answer until released.
+	addr := scriptedQueryServer(t, func(req queryRequest) ([]byte, []byte) {
+		if req.Op == "set" {
+			<-release
+			return []byte(`"ok":true,"bytes":` + strconv.Itoa(len(set)) + `}`), set
+		}
+		return seriesBody(want[:req.LastHours-1]), nil
+	})
 	c := dialQueryT(t, addr)
+	spec := trace.Spec{CPURPE2: 1, MemMB: 1}
 	for n := 0; n <= len(want); n++ {
-		got, err := c.HourlySeriesWindow("x", trace.Spec{CPURPE2: 1, MemMB: 1}, epoch, n+1)
+		got, err := c.HourlySeriesWindow("x", spec, epoch, n+1)
 		if err != nil {
 			t.Fatalf("%d samples: %v", n, err)
 		}
 		equalSeries(t, fmt.Sprintf("%d samples", n), hours(want[:n]), got)
+	}
+
+	specs := map[trace.ServerID]trace.Spec{"x": spec, "y": spec}
+	c.Timeout = 50 * time.Millisecond
+	if _, err := c.FetchSet("dc", specs, epoch); err == nil || !strings.Contains(err.Error(), "timeout") {
+		t.Fatalf("held set: err = %v, want a timeout", err)
+	}
+	c.Timeout = time.Minute
+	close(release)
+	got, err := c.FetchSet("dc", specs, epoch)
+	if err != nil {
+		t.Fatalf("set after a timed-out one: %v", err)
+	}
+	if len(got.Servers) != 2 || got.Servers[0].ID != "x" || got.Servers[1].ID != "y" {
+		t.Fatalf("set = %+v", got.Servers)
+	}
+	equalSeries(t, "set x", hours(want), got.Servers[0].Series)
+	equalSeries(t, "set y", hours(want[4:5]), got.Servers[1].Series)
+	if s, err := c.HourlySeriesWindow("x", spec, epoch, 2); err != nil || s.Len() != 1 {
+		t.Fatalf("series after the sets = %v, %v", s, err)
 	}
 }
 
@@ -102,41 +137,71 @@ func TestSeriesWireCarriesEveryBitPattern(t *testing.T) {
 // and so can sit in a warehouse (in-process Ingest); the decimal payload
 // failed such a series with a marshal error. It is carried now, replica and
 // live, and FetchSet equals CollectSet bit for bit — as do the largest and
-// smallest magnitudes an hourly mean can take.
+// smallest magnitudes an hourly mean can take, a NaN payload and -0 — with
+// an hour-aligned epoch, an unaligned one and timestamps past the
+// hour-indexable range (both through the scan fallback). The replica and
+// live set bodies are the same bytes.
 func TestSeriesWireNonFiniteFromWarehouse(t *testing.T) {
 	w := NewWarehouse(0)
 	defer w.Close()
-	mems := []float64{math.NaN(), math.Inf(1), math.MaxFloat64, math.SmallestNonzeroFloat64, 2048}
+	mems := []float64{math.NaN(), math.Inf(1), math.MaxFloat64, math.SmallestNonzeroFloat64,
+		math.Float64frombits(0x7ff8dead0000beef), math.Copysign(0, -1), 2048}
 	for h, mem := range mems {
 		w.Ingest(Sample{Server: "odd", Timestamp: epoch.Add(time.Duration(h) * time.Hour), TotalProcessorPct: 50, MemCommittedMB: mem})
 		w.Ingest(Sample{Server: "plain", Timestamp: epoch.Add(time.Duration(h) * time.Hour), TotalProcessorPct: 25, MemCommittedMB: 1024})
 	}
 	w.Ingest(Sample{Server: "odd", Timestamp: epoch.Add(time.Duration(len(mems)) * time.Hour), TotalProcessorPct: math.NaN(), MemCommittedMB: 1})
-	if err := w.EnableReplicas(ReplicaConfig{NoBackground: true}); err != nil {
-		t.Fatal(err)
+	far := time.Date(2250, 1, 1, 0, 0, 0, 0, time.UTC)
+	wild := NewWarehouse(0)
+	defer wild.Close()
+	for m := 0; m < 150; m += 7 {
+		wild.Ingest(Sample{Server: "far", Timestamp: far.Add(time.Duration(m) * time.Minute), TotalProcessorPct: float64(m % 61), MemCommittedMB: math.NaN()})
 	}
-	addr, _ := startQueryServer(t, w)
-	specs := map[trace.ServerID]trace.Spec{"odd": {CPURPE2: 1000, MemMB: 4096}, "plain": {CPURPE2: 2000, MemMB: 8192}}
-	live, err := w.CollectSet("dc", specs, epoch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	odd := live.Servers[0].Series.Samples
-	if !math.IsNaN(odd[0].Mem) || !math.IsInf(odd[1].Mem, 1) || odd[2].Mem != math.MaxFloat64 || !math.IsNaN(odd[len(mems)].CPU) {
-		t.Fatalf("the warehouse did not hold the values under test: %v", odd)
-	}
-	for _, consistent := range []bool{false, true} {
-		c := dialQueryT(t, addr)
-		c.Consistent = consistent
-		got, err := c.FetchSet("dc", specs, epoch)
-		if err != nil {
-			t.Fatalf("consistent=%v: %v", consistent, err)
-		}
-		for i, st := range live.Servers {
-			if got.Servers[i].ID != st.ID {
-				t.Fatalf("consistent=%v: server %d is %s, want %s", consistent, i, got.Servers[i].ID, st.ID)
+	specs := map[trace.ServerID]trace.Spec{"odd": {CPURPE2: 1000, MemMB: 4096}, "plain": {CPURPE2: 2000, MemMB: 8192}, "far": {CPURPE2: 3000, MemMB: 512}}
+	for _, tc := range []struct {
+		name  string
+		w     *Warehouse
+		epoch time.Time
+	}{
+		{"aligned", w, epoch},
+		{"unaligned epoch", w, epoch.Add(-30 * time.Minute)},
+		{"wild timestamps", wild, far},
+	} {
+		if tc.w.replicas.Load() == nil {
+			if err := tc.w.EnableReplicas(ReplicaConfig{NoBackground: true}); err != nil {
+				t.Fatal(err)
 			}
-			equalSeries(t, string(st.ID), st.Series, got.Servers[i].Series)
+		}
+		addr, qs := startQueryServer(t, tc.w)
+		live, err := tc.w.CollectSet("dc", specs, tc.epoch)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if odd := live.Servers[0].Series.Samples; tc.w == w && (!math.IsNaN(odd[0].Mem) || !math.IsInf(odd[1].Mem, 1) || odd[2].Mem != math.MaxFloat64 || !math.IsNaN(odd[len(mems)].CPU)) {
+			t.Fatalf("%s: the warehouse did not hold the values under test: %v", tc.name, odd)
+		}
+		var bodies [2][]byte
+		for i, consistent := range []bool{false, true} {
+			c := dialQueryT(t, addr)
+			c.Consistent = consistent
+			got, err := c.FetchSet("dc", specs, tc.epoch)
+			if err != nil {
+				t.Fatalf("%s, consistent=%v: %v", tc.name, consistent, err)
+			}
+			for i, st := range live.Servers {
+				if got.Servers[i].ID != st.ID {
+					t.Fatalf("%s, consistent=%v: server %d is %s, want %s", tc.name, consistent, i, got.Servers[i].ID, st.ID)
+				}
+				equalSeries(t, tc.name+" "+string(st.ID), st.Series, got.Servers[i].Series)
+			}
+			req := queryRequest{Op: "set", Epoch: tc.epoch, Consistent: consistent, Specs: map[trace.ServerID]float64{}}
+			for id, spec := range specs {
+				req.Specs[id] = spec.CPURPE2
+			}
+			bodies[i] = qs.handle(req).raw
+		}
+		if len(bodies[0]) == 0 || !bytes.Equal(bodies[0], bodies[1]) {
+			t.Fatalf("%s: replica set body (%d bytes) differs from the live one (%d bytes)", tc.name, len(bodies[0]), len(bodies[1]))
 		}
 	}
 }
@@ -193,11 +258,11 @@ func TestSeriesWireRejectsDamagedPayload(t *testing.T) {
 		"inner-padding": payload(raw(16) + raw(16)),
 		"not-a-string":  []byte(`"ok":true,"usage":[1,2]}`),
 	}
-	addr := scriptedQueryServer(t, func(req queryRequest) []byte {
+	addr := scriptedQueryServer(t, func(req queryRequest) ([]byte, []byte) {
 		if body, ok := cases[req.Server]; ok {
-			return body
+			return body, nil
 		}
-		return good
+		return good, nil
 	})
 	c := dialQueryT(t, addr)
 	spec := trace.Spec{CPURPE2: 1, MemMB: 1}
@@ -237,7 +302,7 @@ func TestQueryClientBoundsResponseLine(t *testing.T) {
 		}
 		defer conn.Close()
 		chunk := bytes.Repeat([]byte{'x'}, 1<<20)
-		for sent := 0; sent <= maxResponseLineBytes; sent += len(chunk) {
+		for sent := 0; sent <= maxResponseBytes; sent += len(chunk) {
 			if _, err := conn.Write(chunk); err != nil {
 				return // the client hung up, as it should
 			}
@@ -357,5 +422,43 @@ func FuzzSeriesLine(f *testing.F) {
 				line, got.ID, got.OK, gotUnpackErr, want.ID, want.OK, unpackErr)
 		}
 		equalSeries(t, "whole line", hours(wantSamples), hours(gotSamples))
+	})
+}
+
+// FuzzSetBody holds the set body decoder to strictness on arbitrary bytes:
+// whatever it accepts re-encodes to exactly the same bytes, and every
+// strict prefix of such a body — a stream that ends before the declared
+// length — is rejected.
+func FuzzSetBody(f *testing.F) {
+	body := appendSetEntry(nil, "a", []trace.Usage{{CPU: 1.5, Mem: math.Inf(1)}, {CPU: math.NaN(), Mem: math.Copysign(0, -1)}})
+	body = appendSetEntry(body, "srv-0002", []trace.Usage{{CPU: math.SmallestNonzeroFloat64, Mem: 2048}})
+	f.Add(body)
+	for _, cut := range []int{1, 2, 3, len(body) / 2, len(body) - 1} {
+		f.Add(body[:cut])
+	}
+	f.Add(append(binary.AppendUvarint([]byte{1, 'x'}, 1<<40), make([]byte, 32)...)) // hour count past the body
+	f.Add(append(binary.AppendUvarint([]byte{1, 'x'}, 1<<62), make([]byte, 32)...))
+	f.Add([]byte{0x80, 0x00})                   // non-minimal varint
+	f.Add([]byte{9, 'x', 0})                    // ID past the body
+	f.Add([]byte{0, 0})                         // empty ID
+	f.Add(append(bytes.Clone(body), 0))         // trailing byte
+	f.Add(append(bytes.Clone(body), 1, 'z', 5)) // trailing partial entry
+	f.Fuzz(func(t *testing.T, in []byte) {
+		got, err := decodeSetBody(bufio.NewReader(bytes.NewReader(in)), len(in))
+		if err != nil {
+			return
+		}
+		var again []byte
+		for _, s := range got {
+			again = appendSetEntry(again, s.id, s.hours)
+		}
+		if !bytes.Equal(again, in) {
+			t.Fatalf("decoded %x re-encodes as %x", in, again)
+		}
+		for cut := range in {
+			if _, err := decodeSetBody(bufio.NewReader(bytes.NewReader(in[:cut])), len(in)); err == nil {
+				t.Fatalf("a %d-byte prefix of a %d-byte body decoded", cut, len(in))
+			}
+		}
 	})
 }

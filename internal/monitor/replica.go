@@ -137,6 +137,10 @@ type seriesCacheKey struct {
 	lastHours int
 }
 
+func newSeriesKey(id trace.ServerID, spec trace.Spec, epoch time.Time, lastHours int) seriesCacheKey {
+	return seriesCacheKey{id, spec.CPURPE2, spec.MemMB, epoch.Unix(), epoch.Nanosecond(), lastHours}
+}
+
 // cachedSeries is one memoized answer: the response line's body — the
 // bytes of {"ok":true,"usage":"..."} after the opening brace (seriesBody),
 // so the writer can splice a request id in front without re-encoding — or
@@ -420,7 +424,7 @@ type decodeScratch struct {
 var decodeScratchPool = sync.Pool{New: func() any { return new(decodeScratch) }}
 
 // usageScratchPool holds hourly() output for callers that encode it and let
-// go (seriesJSON).
+// go (seriesJSON, the set op).
 var usageScratchPool = sync.Pool{New: func() any { return new([]trace.Usage) }}
 
 func (r *replicaSet) storeFor(id trace.ServerID) *replicaStore {
@@ -476,19 +480,28 @@ func (rs *replicaStore) columns(sc *decodeScratch) (ts []time.Time, cpu, mem []f
 	return sc.times, sc.cpu, sc.mem, nil
 }
 
+// zeroedUsage is n zero samples in dst's storage when it is large enough.
+func zeroedUsage(dst []trace.Usage, n int) []trace.Usage {
+	out := slices.Grow(dst[:0], n)[:n]
+	clear(out)
+	return out
+}
+
 // hourly mirrors serverStore.hourly branch for branch so that replica
 // answers are bit-identical to live answers over the same samples: the
 // same aligned-epoch bucket formula, and the same scan-and-bucket
 // fallback (including its accumulation order) after a full decode. The
-// result reuses dst's storage when it is large enough (nil allocates).
-func (rs *replicaStore) hourly(dst []trace.Usage, spec trace.Spec, epoch time.Time, r *replicaSet) ([]trace.Usage, error) {
-	zeroed := func(n int) []trace.Usage {
-		out := slices.Grow(dst[:0], n)[:n]
-		clear(out)
-		return out
+// result reuses dst's storage when it is large enough (nil allocates). A
+// nil rs is a server the snapshot does not hold.
+func (rs *replicaStore) hourly(dst []trace.Usage, id trace.ServerID, spec trace.Spec, epoch time.Time, r *replicaSet) ([]trace.Usage, error) {
+	if rs == nil || rs.count == 0 {
+		return nil, fmt.Errorf("monitor: no samples for %s", id)
+	}
+	if spec.CPURPE2 <= 0 {
+		return nil, errNoCPURating
 	}
 	if !rs.wild && timeIndexable(epoch) && epoch.UnixNano()%hourNanos == 0 && rs.firstNanos() >= epoch.UnixNano() {
-		out := zeroed(len(rs.cnt))
+		out := zeroedUsage(dst, len(rs.cnt))
 		for i, n := range rs.cnt {
 			if n == 0 {
 				continue
@@ -525,7 +538,7 @@ func (rs *replicaStore) hourly(dst []trace.Usage, spec trace.Spec, epoch time.Ti
 		buckets[j].mem += mem[i]
 		buckets[j].n++
 	}
-	out := zeroed(len(buckets))
+	out := zeroedUsage(dst, len(buckets))
 	for i, b := range buckets {
 		if b.n > 0 {
 			out[i] = trace.Usage{CPU: b.cpu / float64(b.n), Mem: b.mem / float64(b.n)}
@@ -535,19 +548,18 @@ func (rs *replicaStore) hourly(dst []trace.Usage, spec trace.Spec, epoch time.Ti
 }
 
 func (r *replicaSet) hourlySeries(id trace.ServerID, spec trace.Spec, epoch time.Time, lastHours int) (*trace.Series, error) {
-	r.reads.Add(1)
-	rs := r.storeFor(id)
-	if rs == nil || rs.count == 0 {
-		return nil, fmt.Errorf("monitor: no samples for %s", id)
-	}
-	if spec.CPURPE2 <= 0 {
-		return nil, errNoCPURating
-	}
-	out, err := rs.hourly(nil, spec, epoch, r)
+	out, err := r.hours(nil, id, spec, epoch)
 	if err != nil {
 		return nil, err
 	}
 	return trace.NewSeries(time.Hour, windowTail(out, lastHours))
+}
+
+// hours is a server's whole hourly series off its shard's latest snapshot,
+// in dst's storage when it is large enough.
+func (r *replicaSet) hours(dst []trace.Usage, id trace.ServerID, spec trace.Spec, epoch time.Time) ([]trace.Usage, error) {
+	r.reads.Add(1)
+	return r.storeFor(id).hourly(dst, id, spec, epoch, r)
 }
 
 // seriesJSON answers a series request as its pre-marshaled response body
@@ -560,14 +572,7 @@ func (r *replicaSet) seriesJSON(id trace.ServerID, spec trace.Spec, epoch time.T
 	if rep == nil {
 		return nil, fmt.Errorf("monitor: no samples for %s", id)
 	}
-	key := seriesCacheKey{
-		id:        id,
-		cpuRPE2:   spec.CPURPE2,
-		memMB:     spec.MemMB,
-		epochSec:  epoch.Unix(),
-		epochNano: epoch.Nanosecond(),
-		lastHours: lastHours,
-	}
+	key := newSeriesKey(id, spec, epoch, lastHours)
 	rep.cacheMu.Lock()
 	if c, ok := rep.seriesCache[key]; ok {
 		rep.cacheMu.Unlock()
@@ -581,30 +586,19 @@ func (r *replicaSet) seriesJSON(id trace.ServerID, spec trace.Spec, epoch time.T
 	// Compute from rep itself — NOT through storeFor, which could observe
 	// a newer generation than the one this entry will be cached on.
 	c := &cachedSeries{}
-	rs := rep.servers[id]
-	switch {
-	case rs == nil || rs.count == 0:
-		c.err = fmt.Errorf("monitor: no samples for %s", id)
-	case spec.CPURPE2 <= 0:
-		c.err = errNoCPURating
-	default:
-		// The samples only pass through on their way into the body; on a
-		// fleet pull a fresh slice each would be a quarter of all the bytes
-		// allocated, and the collector's bill follows the bytes.
-		scratch := usageScratchPool.Get().(*[]trace.Usage)
-		out, err := rs.hourly(*scratch, spec, epoch, r)
-		if err != nil {
-			c.err = err
-		} else {
-			c.body = seriesBody(windowTail(out, lastHours))
-			*scratch = out
-		}
-		usageScratchPool.Put(scratch)
+	// The samples only pass through on their way into the body; a fresh
+	// slice each would be a quarter of a fleet pull's allocated bytes, and
+	// the collector's bill follows the bytes.
+	scratch := usageScratchPool.Get().(*[]trace.Usage)
+	if out, err := rep.servers[id].hourly(*scratch, id, spec, epoch, r); err != nil {
+		c.err = err
+	} else {
+		c.body = seriesBody(windowTail(out, lastHours))
+		*scratch = out
 	}
+	usageScratchPool.Put(scratch)
 	rep.cacheMu.Lock()
-	if rep.seriesCache == nil {
-		rep.seriesCache = make(map[seriesCacheKey]*cachedSeries)
-	} else if len(rep.seriesCache) >= maxSeriesCacheEntries {
+	if rep.seriesCache == nil || len(rep.seriesCache) >= maxSeriesCacheEntries {
 		rep.seriesCache = make(map[seriesCacheKey]*cachedSeries)
 	}
 	rep.seriesCache[key] = c
@@ -621,14 +615,7 @@ func (r *replicaSet) seriesJSONPeek(id trace.ServerID, spec trace.Spec, epoch ti
 	if rep == nil {
 		return nil, nil, false
 	}
-	key := seriesCacheKey{
-		id:        id,
-		cpuRPE2:   spec.CPURPE2,
-		memMB:     spec.MemMB,
-		epochSec:  epoch.Unix(),
-		epochNano: epoch.Nanosecond(),
-		lastHours: lastHours,
-	}
+	key := newSeriesKey(id, spec, epoch, lastHours)
 	rep.cacheMu.Lock()
 	c, ok := rep.seriesCache[key]
 	rep.cacheMu.Unlock()

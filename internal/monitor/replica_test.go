@@ -676,53 +676,6 @@ func TestQueryAdvise(t *testing.T) {
 	}
 }
 
-// TestFetchSetParallel: the bounded parallel fetch returns exactly the
-// single-connection result.
-func TestFetchSetParallel(t *testing.T) {
-	w := NewWarehouse(0)
-	specs := make(map[trace.ServerID]trace.Spec)
-	for s := 0; s < 9; s++ {
-		id := trace.ServerID(fmt.Sprintf("par-%d", s))
-		specs[id] = trace.Spec{CPURPE2: 1000 + float64(s), MemMB: 8192}
-		for m := 0; m < 180; m++ {
-			w.Ingest(Sample{Server: id, Timestamp: epoch.Add(time.Duration(m) * time.Minute),
-				TotalProcessorPct: float64((s*7 + m) % 100), MemCommittedMB: float64(1000 + s)})
-		}
-	}
-	if err := w.EnableReplicas(ReplicaConfig{NoBackground: true}); err != nil {
-		t.Fatal(err)
-	}
-	w.PublishReplicas()
-	addr, _ := startQueryServer(t, w)
-	defer w.Close()
-
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	c, err := DialQuery(ctx, addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	single, err := c.FetchSet("dc", specs, epoch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	parallel, err := FetchSetParallel(ctx, addr, "dc", specs, epoch, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(single.Servers) != len(parallel.Servers) {
-		t.Fatalf("single %d servers, parallel %d", len(single.Servers), len(parallel.Servers))
-	}
-	for i := range single.Servers {
-		a, b := single.Servers[i], parallel.Servers[i]
-		if a.ID != b.ID {
-			t.Fatalf("order differs at %d: %s vs %s", i, a.ID, b.ID)
-		}
-		equalSeries(t, string(a.ID), a.Series, b.Series)
-	}
-}
-
 // TestServersMemoMerge checks the per-shard memoized Servers list against a
 // straight rebuild as servers arrive.
 func TestServersMemoMerge(t *testing.T) {

@@ -129,7 +129,7 @@ func (r *ReliableSender) ensureConn(ctx context.Context) error {
 	if r.conn != nil {
 		return nil
 	}
-	conn, err := (&net.Dialer{Timeout: r.timeout()}).DialContext(ctx, "tcp", r.Addr)
+	conn, err := (&net.Dialer{Timeout: writeTimeout(r.Timeout)}).DialContext(ctx, "tcp", r.Addr)
 	if err != nil {
 		return err
 	}
@@ -137,13 +137,6 @@ func (r *ReliableSender) ensureConn(ctx context.Context) error {
 	r.br = bufio.NewReader(conn)
 	r.reconnects++
 	return nil
-}
-
-func (r *ReliableSender) timeout() time.Duration {
-	if r.Timeout > 0 {
-		return r.Timeout
-	}
-	return batchWriteTimeout
 }
 
 // Flush drives the queue to empty, allowing up to maxAttempts tries per
@@ -254,7 +247,7 @@ func (r *ReliableSender) tryOnce(ctx context.Context, envelope []byte) (ackResul
 	if err := r.ensureConn(ctx); err != nil {
 		return ackResult{}, err
 	}
-	deadline := time.Now().Add(r.timeout())
+	deadline := time.Now().Add(writeTimeout(r.Timeout))
 	if d, ok := ctx.Deadline(); ok && d.Before(deadline) {
 		deadline = d
 	}

@@ -275,13 +275,14 @@ func (st *serverStore) evict(cutoff time.Time) int {
 // hourly aggregates the retained samples for one spec and epoch. With an
 // hour-aligned epoch and no pre-epoch samples it is an O(occupied-hours)
 // read of the live buckets; otherwise it falls back to the pre-shard
-// scan-and-bucket algorithm, bit for bit.
-func (st *serverStore) hourly(spec trace.Spec, epoch time.Time) ([]trace.Usage, error) {
+// scan-and-bucket algorithm, bit for bit. The result reuses dst's storage
+// when it is large enough (nil allocates).
+func (st *serverStore) hourly(dst []trace.Usage, spec trace.Spec, epoch time.Time) ([]trace.Usage, error) {
 	n := len(st.ts)
 	if !st.wildTimes && timeIndexable(epoch) && epoch.UnixNano()%hourNanos == 0 && !st.ts[0].Before(epoch) {
 		st.flushDirty()
 		firstH, lastH := hourIndex(st.ts[0]), hourIndex(st.ts[n-1])
-		out := make([]trace.Usage, lastH-firstH+1)
+		out := zeroedUsage(dst, int(lastH-firstH+1))
 		for h, b := range st.hours {
 			if b.n == 0 {
 				continue
@@ -308,7 +309,7 @@ func (st *serverStore) hourly(spec trace.Spec, epoch time.Time) ([]trace.Usage, 
 		buckets[j].mem += st.mem[i]
 		buckets[j].n++
 	}
-	out := make([]trace.Usage, len(buckets))
+	out := zeroedUsage(dst, len(buckets))
 	for i, b := range buckets {
 		if b.n > 0 {
 			out[i] = trace.Usage{CPU: b.cpu / float64(b.n), Mem: b.mem / float64(b.n)}

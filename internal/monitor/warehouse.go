@@ -510,11 +510,7 @@ func (w *Warehouse) serveEnvelope(conn net.Conn, line []byte, batch []Sample, in
 	}
 	w.ackMu.Unlock()
 
-	timeout := w.WriteTimeout
-	if timeout <= 0 {
-		timeout = batchWriteTimeout
-	}
-	if err := conn.SetWriteDeadline(time.Now().Add(timeout)); err != nil {
+	if err := conn.SetWriteDeadline(time.Now().Add(writeTimeout(w.WriteTimeout))); err != nil {
 		w.slowClients.Add(1)
 		return false
 	}
@@ -828,23 +824,27 @@ func (w *Warehouse) HourlySeries(id trace.ServerID, spec trace.Spec, epoch time.
 // hours of the aggregate (0 = everything) — the cheap "recent window" read
 // sizing advisors issue, without shipping a 30-day series to slice one day.
 func (w *Warehouse) HourlySeriesWindow(id trace.ServerID, spec trace.Spec, epoch time.Time, lastHours int) (*trace.Series, error) {
-	sh := &w.shards[w.shardIndex(id)]
-	sh.mu.Lock()
-	st := sh.servers[id]
-	if st == nil || len(st.ts) == 0 {
-		sh.mu.Unlock()
-		return nil, fmt.Errorf("monitor: no samples for %s", id)
-	}
-	if spec.CPURPE2 <= 0 {
-		sh.mu.Unlock()
-		return nil, errNoCPURating
-	}
-	out, err := st.hourly(spec, epoch)
-	sh.mu.Unlock()
+	out, err := w.hours(nil, id, spec, epoch)
 	if err != nil {
 		return nil, err
 	}
 	return trace.NewSeries(time.Hour, windowTail(out, lastHours))
+}
+
+// hours is a server's whole hourly series, in dst's storage when it is
+// large enough.
+func (w *Warehouse) hours(dst []trace.Usage, id trace.ServerID, spec trace.Spec, epoch time.Time) ([]trace.Usage, error) {
+	sh := &w.shards[w.shardIndex(id)]
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	st := sh.servers[id]
+	if st == nil || len(st.ts) == 0 {
+		return nil, fmt.Errorf("monitor: no samples for %s", id)
+	}
+	if spec.CPURPE2 <= 0 {
+		return nil, errNoCPURating
+	}
+	return st.hourly(dst, spec, epoch)
 }
 
 // windowTail slices the trailing lastHours entries (0 keeps everything).

@@ -27,6 +27,15 @@ const batchChunk = 512
 // hang a backfill forever.
 const batchWriteTimeout = 30 * time.Second
 
+// writeTimeout is the one rule both servers' write deadlines and the
+// sender's timeout follow: d, or batchWriteTimeout when d is not positive.
+func writeTimeout(d time.Duration) time.Duration {
+	if d > 0 {
+		return d
+	}
+	return batchWriteTimeout
+}
+
 var batchPool = sync.Pool{New: func() any { return make([]Sample, 0, batchChunk) }}
 
 func takeBatch() []Sample { return batchPool.Get().([]Sample)[:0] }

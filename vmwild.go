@@ -657,13 +657,6 @@ const (
 	DefaultReplicaMaxAge       = monitor.DefaultReplicaMaxAge
 )
 
-// FetchSetParallel pulls a complete trace set over several pipelined query
-// connections with bounded fan-out, returning exactly the single-connection
-// result.
-func FetchSetParallel(ctx context.Context, addr, name string, specs map[ServerID]Spec, epoch time.Time, conns int) (*TraceSet, error) {
-	return monitor.FetchSetParallel(ctx, addr, name, specs, epoch, conns)
-}
-
 // WriteReport renders the complete reproduction — every table and figure of
 // the paper — using the baseline configuration with the given seed. It runs
 // the experiment grid strictly sequentially; use WriteReportWith to fan it
