@@ -282,7 +282,7 @@ func storedSamples(w *Warehouse) []Sample {
 		sh := &w.shards[w.shardIndex(id)]
 		sh.mu.Lock()
 		st := sh.servers[id]
-		for i := range st.ts {
+		for i := range st.cpu {
 			out = append(out, st.sampleAt(id, i))
 		}
 		sh.mu.Unlock()

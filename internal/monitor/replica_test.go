@@ -343,7 +343,9 @@ func TestReplicaConcurrentSoak(t *testing.T) {
 		go func(wr int) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(int64(wr)))
-			for m := 1; !stop.Load(); m++ {
+			// Ten minutes in, a late arrival (at most 600 s early) never
+			// precedes the epoch the readers ask for.
+			for m := 10; !stop.Load(); m++ {
 				id := servers[rng.Intn(len(servers))]
 				ts := epoch.Add(time.Duration(m) * time.Minute)
 				if rng.Intn(16) == 0 {

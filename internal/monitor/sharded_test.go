@@ -101,11 +101,11 @@ func (r *refStore) hourly(id trace.ServerID, spec trace.Spec, epoch time.Time) (
 		}
 		return out, nil
 	}
-	first := int(list[0].Timestamp.Sub(epoch) / time.Hour)
-	last := int(list[len(list)-1].Timestamp.Sub(epoch) / time.Hour)
-	if first < 0 {
+	if list[0].Timestamp.Before(epoch) {
 		return nil, errPrecedeEpoch
 	}
+	first := int(list[0].Timestamp.Sub(epoch) / time.Hour)
+	last := int(list[len(list)-1].Timestamp.Sub(epoch) / time.Hour)
 	type bucket struct {
 		cpu, mem float64
 		n        int

@@ -115,7 +115,7 @@ func encodeSnapshot(shards []shard, n int) []byte {
 	buf := make([]byte, 0, len(snapshotMagic)+n*104) // records run ~100 bytes
 	buf = append(buf, snapshotMagic...)
 	for _, sv := range servers {
-		for i := range sv.st.ts {
+		for i := range sv.st.cpu {
 			s := sv.st.sampleAt(sv.id, i)
 			buf = appendRecord(buf, &s)
 		}

@@ -593,16 +593,16 @@ func (w *Warehouse) IngestDurable(s Sample) error {
 }
 
 // insert adds one validated sample to its shard under the retention
-// policy.
+// policy. A new server's generation bumps land before the shard lock is
+// released, so whoever sees its samples also sees it in Servers().
 func (w *Warehouse) insert(s Sample) {
 	sh := &w.shards[w.shardIndex(s.Server)]
 	sh.mu.Lock()
-	isNew := sh.insertLocked(w.Retention, s)
-	sh.mu.Unlock()
-	if isNew {
+	if sh.insertLocked(w.Retention, s) {
 		sh.idGen.Add(1)
 		w.serverGen.Add(1)
 	}
+	sh.mu.Unlock()
 }
 
 // insertLocked stores s in this shard (caller holds sh.mu) and reports
@@ -610,19 +610,14 @@ func (w *Warehouse) insert(s Sample) {
 func (sh *shard) insertLocked(retention time.Duration, s Sample) (isNew bool) {
 	st := sh.servers[s.Server]
 	if st == nil {
-		st = newServerStore()
+		st = new(serverStore)
 		sh.servers[s.Server] = st
 		isNew = true
 	}
-	st.insert(s)
-	sh.samples++
+	d := st.add(s, retention)
+	sh.samples += 1 - d
+	sh.evicted += d
 	sh.mutations.Add(1)
-	if retention > 0 {
-		cutoff := st.ts[len(st.ts)-1].Add(-retention)
-		d := st.evict(cutoff)
-		sh.samples -= d
-		sh.evicted += d
-	}
 	return isNew
 }
 
@@ -734,7 +729,6 @@ func (w *Warehouse) IngestBatch(samples []Sample) {
 		counts[idx[i]]++
 	}
 
-	newServers := 0
 	pos := 0
 	for k := range w.shards {
 		end := int(counts[k]) // counts[k] is now the end offset of run k
@@ -749,15 +743,12 @@ func (w *Warehouse) IngestBatch(samples []Sample) {
 				shardNew++
 			}
 		}
-		sh.mu.Unlock()
-		if shardNew > 0 {
+		if shardNew > 0 { // before the unlock, as in insert
 			sh.idGen.Add(uint64(shardNew))
-			newServers += shardNew
+			w.serverGen.Add(uint64(shardNew))
 		}
+		sh.mu.Unlock()
 		pos = end
-	}
-	if newServers > 0 {
-		w.serverGen.Add(uint64(newServers))
 	}
 
 	sc.idx, sc.counts, sc.order = idx, counts, order
@@ -806,7 +797,7 @@ func (w *Warehouse) SampleCount(id trace.ServerID) int {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	if st := sh.servers[id]; st != nil {
-		return len(st.ts)
+		return len(st.cpu)
 	}
 	return 0
 }
@@ -838,7 +829,7 @@ func (w *Warehouse) hours(dst []trace.Usage, id trace.ServerID, spec trace.Spec,
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	st := sh.servers[id]
-	if st == nil || len(st.ts) == 0 {
+	if st == nil || len(st.cpu) == 0 {
 		return nil, fmt.Errorf("monitor: no samples for %s", id)
 	}
 	if spec.CPURPE2 <= 0 {

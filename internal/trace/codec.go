@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"sync"
 )
 
 // chunkVersion tags the serialized chunk layout.
@@ -90,7 +91,7 @@ func CompressChunk(nanos []int64, cpu, mem []float64) (*CompressedChunk, error) 
 		return nil, errChunkTooBig
 	}
 
-	var tw bitWriter
+	tw := newBitWriter()
 	prevTS := nanos[0]
 	prevDelta := int64(0)
 	for i := 1; i < n; i++ {
@@ -244,7 +245,7 @@ func slicesGrow(s []int64, n int) []int64 {
 
 // compressFloats XOR-codes one float column.
 func compressFloats(vals []float64) []byte {
-	var w bitWriter
+	w := newBitWriter()
 	prev := math.Float64bits(vals[0])
 	w.writeBits(prev, 64)
 	// The "window" is the (leading, trailing) zero-bit frame of the last
@@ -391,9 +392,22 @@ func (r *bitReader) readDoD() (int64, bool) {
 // accumulator (word-at-a-time, not bit-at-a-time — the codec sits on the
 // replica publish path).
 type bitWriter struct {
-	b   []byte
-	acc uint64 // pending bits, MSB-aligned
-	n   uint   // valid bits in acc
+	b      []byte
+	acc    uint64  // pending bits, MSB-aligned
+	n      uint    // valid bits in acc
+	pooled *[]byte // where b came from
+}
+
+// streamBufs recycles the buffers bitstreams grow in. finish copies a
+// stream out at its exact size, so a chunk pays for neither the growth of
+// its buffer nor its slack. A replica republish re-encodes every chunk of
+// a store after an eviction, and without the pool that growth is most of
+// what a republish allocates.
+var streamBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+func newBitWriter() bitWriter {
+	p := streamBufs.Get().(*[]byte)
+	return bitWriter{b: (*p)[:0], pooled: p}
 }
 
 func (w *bitWriter) writeBit(bit uint64) { w.writeBits(bit, 1) }
@@ -416,14 +430,17 @@ func (w *bitWriter) writeBits(v uint64, n uint) {
 	w.n = n - take
 }
 
-// finish flushes the partial tail and returns the stream. The writer must
-// not be reused afterwards.
+// finish flushes the partial tail and returns a copy of the stream,
+// recycling the buffer. The writer must not be reused afterwards.
 func (w *bitWriter) finish() []byte {
 	for i := uint(0); i < w.n; i += 8 {
 		w.b = append(w.b, byte(w.acc>>(56-i)))
 	}
-	w.acc, w.n = 0, 0
-	return w.b
+	out := append([]byte(nil), w.b...)
+	*w.pooled = w.b
+	streamBufs.Put(w.pooled)
+	*w = bitWriter{}
+	return out
 }
 
 // bitReader consumes MSB-first bits from a byte slice.

@@ -189,28 +189,3 @@ func (s *Series) IntervalsInto(buf []float64, n int, r Resource, f func([]float6
 	}
 	return out, nil
 }
-
-// Aggregate returns the element-wise sum of a set of series. All series must
-// share the same step; the result has the length of the shortest input.
-func Aggregate(series []*Series) (*Series, error) {
-	if len(series) == 0 {
-		return nil, errors.New("trace: nothing to aggregate")
-	}
-	step := series[0].Step
-	minLen := series[0].Len()
-	for _, s := range series[1:] {
-		if s.Step != step {
-			return nil, fmt.Errorf("trace: mixed steps %v and %v", step, s.Step)
-		}
-		if s.Len() < minLen {
-			minLen = s.Len()
-		}
-	}
-	sum := make([]Usage, minLen)
-	for _, s := range series {
-		for i := 0; i < minLen; i++ {
-			sum[i] = sum[i].Add(s.Samples[i])
-		}
-	}
-	return &Series{Step: step, Samples: sum}, nil
-}

@@ -126,28 +126,6 @@ func TestIntervals(t *testing.T) {
 	}
 }
 
-func TestAggregate(t *testing.T) {
-	a := hourly(Usage{CPU: 1, Mem: 1}, Usage{CPU: 2, Mem: 2}, Usage{CPU: 3, Mem: 3})
-	b := hourly(Usage{CPU: 10, Mem: 10}, Usage{CPU: 20, Mem: 20})
-	sum, err := Aggregate([]*Series{a, b})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sum.Len() != 2 {
-		t.Fatalf("aggregate length = %d, want shortest input 2", sum.Len())
-	}
-	if sum.Samples[1] != (Usage{CPU: 22, Mem: 22}) {
-		t.Errorf("sample 1 = %+v", sum.Samples[1])
-	}
-	if _, err := Aggregate(nil); err == nil {
-		t.Error("expected error for empty input")
-	}
-	c, _ := NewSeries(time.Minute, []Usage{{}})
-	if _, err := Aggregate([]*Series{a, c}); err == nil {
-		t.Error("expected error for mixed steps")
-	}
-}
-
 func TestServerTraceValidate(t *testing.T) {
 	good := &ServerTrace{
 		ID:     "srv-1",
@@ -239,38 +217,6 @@ func TestQuickResamplePreservesMass(t *testing.T) {
 			got += u.CPU * float64(factor)
 		}
 		return math.Abs(got-want) < 1e-6*math.Max(1, want)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property: Aggregate of k copies of a series equals the series scaled by k.
-func TestQuickAggregateLinear(t *testing.T) {
-	f := func(vals []uint16, kRaw uint8) bool {
-		if len(vals) == 0 {
-			return true
-		}
-		k := int(kRaw%4) + 1
-		samples := make([]Usage, len(vals))
-		for i, v := range vals {
-			samples[i] = Usage{CPU: float64(v), Mem: float64(v) * 2}
-		}
-		s := hourly(samples...)
-		copies := make([]*Series, k)
-		for i := range copies {
-			copies[i] = s
-		}
-		sum, err := Aggregate(copies)
-		if err != nil {
-			return false
-		}
-		for i, u := range sum.Samples {
-			if math.Abs(u.CPU-float64(k)*samples[i].CPU) > 1e-9 {
-				return false
-			}
-		}
-		return true
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
