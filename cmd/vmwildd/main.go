@@ -48,7 +48,7 @@ func run() error {
 		healthListen = flag.String("health-listen", "", "serve /healthz and /readyz on this address (empty disables)")
 		readTimeout  = flag.Duration("read-timeout", 5*time.Minute, "sever ingestion/query connections silent longer than this (0 disables)")
 		writeTimeout = flag.Duration("write-timeout", 0, "per-write deadline on ack and response writes (0 = 30s default)")
-		maxLineBytes = flag.Int("max-line-bytes", 0, "per-connection line size bound (0 = 1 MiB default)")
+		maxLineBytes = flag.Int("max-line-bytes", 0, "size bound on one ingest frame and one query line; larger ones close the connection (0 = 1 MiB default)")
 		maxConns     = flag.Int("max-conns", 0, "max concurrent agent connections; excess waits in the accept backlog (0 = unbounded)")
 		qryMaxConns  = flag.Int("query-max-conns", 0, "max concurrent query connections (0 = unbounded)")
 		queryWorkers = flag.Int("query-workers", 0, "pipelined query worker pool size (0 = default 8)")

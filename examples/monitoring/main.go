@@ -42,8 +42,8 @@ func run() error {
 	defer cancel()
 
 	// Each server's agent collects one sample per simulated minute and
-	// ships them over the socket (batched here; the streaming Agent in
-	// the library does the same continuously).
+	// ships them over the socket as acked binary frames (all at once
+	// here; the streaming Agent in the library does the same each tick).
 	const hoursToCollect = 24
 	specs := make(map[vmwild.ServerID]vmwild.Spec)
 	var ids []vmwild.ServerID
@@ -54,15 +54,17 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		batch := make([]vmwild.MonitorSample, 0, hoursToCollect*60)
+		sender := &vmwild.ReliableSender{Addr: addr, AgentID: string(st.ID)}
 		for m := 0; m < hoursToCollect*60; m++ {
 			s, err := src.Collect(epoch.Add(time.Duration(m) * time.Minute))
 			if err != nil {
 				return err
 			}
-			batch = append(batch, s)
+			sender.Queue(s)
 		}
-		if err := vmwild.SendMonitorBatch(ctx, addr, batch); err != nil {
+		err = sender.Flush(ctx, 3)
+		sender.Close()
+		if err != nil {
 			return err
 		}
 	}

@@ -156,32 +156,3 @@ func Burstiness(st *trace.ServerTrace) (ServerBurstiness, error) {
 		MemCoV:       stats.CoV(mem),
 	}, nil
 }
-
-// Correlations computes the pairwise Pearson correlation matrix of CPU
-// demand across the servers of the set; the stochastic planner consumes it
-// to avoid co-locating positively correlated workloads.
-func Correlations(set *trace.Set) ([][]float64, error) {
-	n := len(set.Servers)
-	if n == 0 {
-		return nil, errors.New("analysis: empty trace set")
-	}
-	values := make([][]float64, n)
-	for i, st := range set.Servers {
-		values[i] = st.Series.Col(trace.CPU)
-	}
-	m := make([][]float64, n)
-	for i := range m {
-		m[i] = make([]float64, n)
-		m[i][i] = 1
-	}
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			c, err := stats.Correlation(values[i], values[j])
-			if err != nil {
-				return nil, fmt.Errorf("correlating %s with %s: %w", set.Servers[i].ID, set.Servers[j].ID, err)
-			}
-			m[i][j], m[j][i] = c, c
-		}
-	}
-	return m, nil
-}

@@ -154,30 +154,3 @@ func TestBurstiness(t *testing.T) {
 		t.Error("expected error for invalid trace")
 	}
 }
-
-func TestCorrelations(t *testing.T) {
-	set := &trace.Set{Name: "t", Servers: []*trace.ServerTrace{
-		server("a", 100, 4096, usages(1, 2, 3, 4)),
-		server("b", 100, 4096, usages(2, 4, 6, 8)),
-		server("c", 100, 4096, usages(4, 3, 2, 1)),
-	}}
-	m, err := Correlations(set)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m[0][0] != 1 || m[1][1] != 1 {
-		t.Error("diagonal must be 1")
-	}
-	if math.Abs(m[0][1]-1) > 1e-9 {
-		t.Errorf("corr(a,b) = %v, want 1", m[0][1])
-	}
-	if math.Abs(m[0][2]+1) > 1e-9 {
-		t.Errorf("corr(a,c) = %v, want -1", m[0][2])
-	}
-	if m[0][1] != m[1][0] {
-		t.Error("matrix must be symmetric")
-	}
-	if _, err := Correlations(&trace.Set{}); err == nil {
-		t.Error("expected error for empty set")
-	}
-}

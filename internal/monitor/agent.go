@@ -1,21 +1,20 @@
 package monitor
 
 import (
-	"bufio"
 	"context"
 	"errors"
-	"fmt"
-	"net"
+	"math/rand/v2"
+	"strconv"
 	"sync/atomic"
 	"time"
 )
 
 // Agent is the per-server collector: it polls its Source on the collection
-// interval and streams samples to the warehouse as batch frames,
-// reconnecting with backoff when the connection drops. Samples collected
-// while the warehouse is unreachable accumulate (up to MaxPending) and
-// ship on the next successful flush, so a warehouse restart costs
-// latency, not data.
+// interval and ships each sample through a ReliableSender, so its samples
+// travel as acked frames and a retried frame is never stored twice.
+// Samples collected while the warehouse is unreachable accumulate (up to
+// MaxPending) and ship on the next successful flush, so a warehouse
+// restart costs latency, not data.
 type Agent struct {
 	// Source supplies the samples.
 	Source Source
@@ -27,15 +26,15 @@ type Agent struct {
 	// Now abstracts the clock so replayed traces can run on compressed
 	// time; nil uses time.Now.
 	Now func() time.Time
-	// Backoff is the base reconnect delay (default 100ms). Consecutive
-	// dial failures grow it exponentially up to BackoffMax, each sleep
-	// jittered over [b/2, b) so a restarted warehouse is not hit by the
-	// whole fleet on one synchronized schedule.
+	// Backoff is the base reconnect delay (default 100ms). Within one
+	// tick's flush, a failed try grows it exponentially up to BackoffMax,
+	// each sleep jittered over [b/2, b) so a restarted warehouse is not
+	// hit by the whole fleet on one synchronized schedule.
 	Backoff time.Duration
 	// BackoffMax caps the grown reconnect delay (default 5s).
 	BackoffMax time.Duration
-	// Seed roots the backoff jitter (keyed with Source+Addr so agents
-	// sharing a seed still spread out); zero is a valid seed.
+	// Seed roots the backoff jitter (keyed with the run's agent ID, so
+	// agents sharing a seed still spread out); zero is a valid seed.
 	Seed int64
 	// MaxPending bounds the samples buffered while the warehouse is
 	// unreachable (default 4096); beyond it the oldest are dropped —
@@ -45,13 +44,21 @@ type Agent struct {
 	dropped atomic.Int64
 }
 
-// Dropped reports how many collected samples the agent shed because its
-// send queue overflowed MaxPending while the warehouse was unreachable.
+// agentFlushAttempts is how many tries each tick's flush gets; what is
+// still unacked stays queued for the next tick.
+const agentFlushAttempts = 2
+
+// Dropped reports how many collected samples the agent has lost: those
+// displaced from its queue beyond MaxPending, those the warehouse shed,
+// and, once Run has returned, those it never got acked.
 func (a *Agent) Dropped() int64 { return a.dropped.Load() }
 
-// Run collects and ships samples until the context is canceled. It returns
-// nil on cancellation and an error only for unrecoverable configuration
-// problems.
+// Run collects and ships samples until the context is canceled or the
+// Source runs dry. It returns nil then, and an error only for
+// unrecoverable configuration problems. Each run sends under a fresh
+// agent ID: the warehouse remembers every ID's last sequence for as long
+// as it runs, so a second run under an old ID would have its first frame
+// re-acked as a duplicate and never stored.
 func (a *Agent) Run(ctx context.Context) error {
 	if a.Source == nil {
 		return errors.New("monitor: agent has no source")
@@ -66,100 +73,31 @@ func (a *Agent) Run(ctx context.Context) error {
 	if now == nil {
 		now = time.Now
 	}
-	baseBackoff := a.Backoff
-	if baseBackoff <= 0 {
-		baseBackoff = 100 * time.Millisecond
+	backoff := a.Backoff
+	if backoff <= 0 {
+		backoff = 100 * time.Millisecond
 	}
 	maxBackoff := a.BackoffMax
-	if maxBackoff < baseBackoff {
-		maxBackoff = max(5*time.Second, baseBackoff)
+	if maxBackoff < backoff {
+		maxBackoff = max(5*time.Second, backoff)
 	}
-	backoff := baseBackoff
-	// The jitter stream is identity-addressed by (Seed, Addr); give each
-	// agent in a fleet its own Seed (stats.Derive over an agent index) to
-	// fully desynchronize the herd.
-	rng := backoffRand(a.Seed, "agent-reconnect", a.Addr)
-	maxPending := a.MaxPending
-	if maxPending <= 0 {
-		maxPending = 4096
+	snd := &ReliableSender{
+		Addr:       a.Addr,
+		AgentID:    "agent-" + strconv.FormatUint(rand.Uint64(), 16),
+		Seed:       a.Seed,
+		MaxPending: a.MaxPending,
+		Backoff:    backoff,
+		BackoffMax: maxBackoff,
 	}
+	defer snd.Close()
+	settle := func(pending int64) {
+		c := snd.Counters()
+		a.dropped.Store(c.DroppedQueue + c.ServerShed + pending)
+	}
+	defer func() { settle(int64(snd.Pending())) }()
 
 	ticker := time.NewTicker(a.Interval)
 	defer ticker.Stop()
-
-	var (
-		conn    net.Conn
-		bw      *bufio.Writer
-		pending []Sample
-		frame   []byte
-	)
-	fc := floatCachePool.Get().(*floatCache)
-	defer floatCachePool.Put(fc)
-	defer func() {
-		if conn != nil {
-			conn.Close()
-		}
-	}()
-	flush := func() {
-		for attempt := 0; attempt < 2 && len(pending) > 0; attempt++ {
-			if conn == nil {
-				c, err := (&net.Dialer{}).DialContext(ctx, "tcp", a.Addr)
-				if err != nil {
-					select {
-					case <-ctx.Done():
-					case <-time.After(jitterBackoff(rng, backoff)):
-						backoff = min(backoff*2, maxBackoff)
-					}
-					continue
-				}
-				conn = c
-				bw = bufio.NewWriter(conn)
-				backoff = baseBackoff
-			}
-			var err error
-			for len(pending) > 0 && err == nil {
-				chunk := pending[:min(batchChunk, len(pending))]
-				frame, err = appendBatchFrame(frame[:0], chunk, fc)
-				if err != nil {
-					// One unencodable sample poisons its frame; rebuild
-					// the frame skipping only the samples not even the
-					// fallback encoder can represent.
-					frame = append(frame[:0], '[')
-					kept := 0
-					for i := range chunk {
-						pos := len(frame)
-						if kept > 0 {
-							frame = append(frame, ',')
-						}
-						var encErr error
-						if frame, encErr = appendSampleWire(frame, &chunk[i], fc); encErr != nil {
-							frame = frame[:pos]
-							continue
-						}
-						kept++
-					}
-					frame = append(frame, ']', '\n')
-					err = nil
-					if kept == 0 {
-						pending = pending[len(chunk):]
-						continue
-					}
-				}
-				conn.SetWriteDeadline(time.Now().Add(batchWriteTimeout))
-				if _, err = bw.Write(frame); err == nil {
-					if err = bw.Flush(); err == nil {
-						pending = pending[len(chunk):]
-					}
-				}
-			}
-			if err != nil {
-				conn.Close()
-				conn, bw = nil, nil
-				continue
-			}
-			return
-		}
-	}
 	for {
 		select {
 		case <-ctx.Done():
@@ -169,63 +107,12 @@ func (a *Agent) Run(ctx context.Context) error {
 		sample, err := a.Source.Collect(now())
 		if err != nil {
 			// Sources run dry when their trace ends; ship what is
-			// buffered and stop cleanly.
-			flush()
+			// queued and stop cleanly.
+			snd.Flush(ctx, agentFlushAttempts) //nolint:errcheck // unsent samples count as dropped
 			return nil
 		}
-		if len(pending) >= maxPending {
-			copy(pending, pending[1:])
-			pending = pending[:len(pending)-1]
-			a.dropped.Add(1)
-		}
-		pending = append(pending, sample)
-		flush()
-		if len(pending) == 0 && cap(pending) > 4*batchChunk {
-			pending = nil // shed a backlog-sized buffer once drained
-		}
+		snd.Queue(sample)
+		snd.Flush(ctx, agentFlushAttempts) //nolint:errcheck // unacked samples stay queued
+		settle(0)
 	}
-}
-
-// SendBatch dials the warehouse once and ships the given samples as
-// chunked batch frames with one flush per chunk — the bulk path used to
-// backfill history or run deterministic tests without timers. It honors
-// ctx between chunks and bounds each flush with a write deadline, so a
-// stalled warehouse fails the call instead of hanging it.
-func SendBatch(ctx context.Context, addr string, samples []Sample) error {
-	conn, err := (&net.Dialer{}).DialContext(ctx, "tcp", addr)
-	if err != nil {
-		return fmt.Errorf("monitor: dial warehouse: %w", err)
-	}
-	defer conn.Close()
-	// A cancellation mid-write would otherwise wait out the full write
-	// deadline; poking an immediate deadline fails the blocked write now.
-	stop := context.AfterFunc(ctx, func() { conn.SetDeadline(time.Unix(1, 0)) })
-	defer stop()
-	w := bufio.NewWriter(conn)
-	frame := make([]byte, 0, 64*batchChunk)
-	fc := floatCachePool.Get().(*floatCache)
-	defer floatCachePool.Put(fc)
-	for len(samples) > 0 {
-		if err := ctx.Err(); err != nil {
-			return fmt.Errorf("monitor: send batch: %w", err)
-		}
-		chunk := samples[:min(batchChunk, len(samples))]
-		samples = samples[len(chunk):]
-		frame, err = appendBatchFrame(frame[:0], chunk, fc)
-		if err != nil {
-			return fmt.Errorf("monitor: send sample: %w", err)
-		}
-		deadline := time.Now().Add(batchWriteTimeout)
-		if d, ok := ctx.Deadline(); ok && d.Before(deadline) {
-			deadline = d
-		}
-		conn.SetWriteDeadline(deadline)
-		if _, err := w.Write(frame); err != nil {
-			return fmt.Errorf("monitor: send sample: %w", err)
-		}
-		if err := w.Flush(); err != nil {
-			return fmt.Errorf("monitor: flush: %w", err)
-		}
-	}
-	return nil
 }

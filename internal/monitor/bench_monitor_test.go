@@ -69,7 +69,7 @@ func runLoadGen(tb testing.TB, w *Warehouse, agents, perAgent int) time.Duration
 		wg.Add(1)
 		go func(a int) {
 			defer wg.Done()
-			if err := SendBatch(ctx, addr, batches[a]); err != nil {
+			if err := sendSamples(ctx, addr, batches[a]); err != nil {
 				errs <- err
 			}
 		}(a)

@@ -115,7 +115,7 @@ func TestWarehouseDiskDegradedMode(t *testing.T) {
 func TestDegradedModeLatchesOncePerBrownout(t *testing.T) {
 	w := NewWarehouse(0)
 	calls := 0
-	w.SetJournal(func(Sample) error {
+	w.setJournal(func(int, laneRun) error {
 		calls++
 		return wal.ErrDiskFull
 	})
@@ -141,7 +141,7 @@ func TestDegradedModeLatchesOncePerBrownout(t *testing.T) {
 // same read-only mode as a full disk.
 func TestPoisonedJournalDegrades(t *testing.T) {
 	w := NewWarehouse(0)
-	w.SetJournal(func(Sample) error { return wal.ErrPoisoned })
+	w.setJournal(func(int, laneRun) error { return wal.ErrPoisoned })
 	if err := w.IngestDurable(synthSample(0)); !errors.Is(err, wal.ErrPoisoned) {
 		t.Fatalf("err = %v", err)
 	}
@@ -150,7 +150,7 @@ func TestPoisonedJournalDegrades(t *testing.T) {
 	}
 	// A transient, typed-as-neither error must NOT latch.
 	w2 := NewWarehouse(0)
-	w2.SetJournal(func(Sample) error { return errors.New("transient") })
+	w2.setJournal(func(int, laneRun) error { return errors.New("transient") })
 	w2.IngestDurable(synthSample(0))
 	if w2.DiskDegraded() {
 		t.Fatal("a transient journal error latched degraded mode")

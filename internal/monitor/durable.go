@@ -30,8 +30,10 @@ import (
 // is "restore each lane's checkpoint, replay its WAL suffix"; a crash
 // loses at most the samples the fsync policy had not yet persisted.
 //
-// WAL records and checkpoints use the binary sample codec (snapshot.go);
-// a directory checkpointed as JSON by an older build fails to open.
+// A WAL record is one lane's run of binary sample records (snapshot.go):
+// one append per lane per ingested frame or batch. Checkpoints use the
+// same codec; a directory checkpointed as JSON by an older build fails to
+// open.
 //
 // A directory written by the old single-log layout (wal-*.log and
 // checkpoint-*.ckpt at the root) is migrated on open: the root log is
@@ -135,17 +137,18 @@ func recoverLog(rec *wal.Recovered, w *Warehouse) (int, int, error) {
 	replayed := 0
 	intern := make(map[string]trace.ServerID)
 	for _, r := range rec.Records {
-		s, rest, err := decodeRecord(r, intern)
-		if err == nil && len(rest) > 0 {
-			err = fmt.Errorf("%d trailing bytes", len(rest))
+		// One record is one lane run: sample records back to back.
+		for len(r) > 0 {
+			s, rest, err := decodeRecord(r, intern)
+			if err != nil {
+				// We framed and checksummed this record ourselves; if it
+				// is not whole samples the log belongs to something else.
+				return 0, 0, fmt.Errorf("monitor: wal record is not a run of samples: %w", err)
+			}
+			w.Ingest(s)
+			replayed++
+			r = rest
 		}
-		if err != nil {
-			// We framed and checksummed this record ourselves; if it is
-			// not a sample the log belongs to something else.
-			return 0, 0, fmt.Errorf("monitor: wal record is not a sample: %w", err)
-		}
-		w.Ingest(s)
-		replayed++
 	}
 	return restored, replayed, nil
 }
@@ -261,7 +264,7 @@ func OpenWarehouseLog(w *Warehouse, dir string, checkpointEvery int, opts wal.Op
 		}
 	}
 
-	w.SetJournal(wl.journal)
+	w.setJournal(wl.journal)
 	return wl, nil
 }
 
@@ -352,15 +355,16 @@ func (wl *WarehouseLog) commitMigration(dir string) error {
 	return nil
 }
 
-// journal persists one accepted sample to its shard's lane and inserts
-// it, checkpointing the lane first when its suffix has reached
-// max(everyLane, ckptSamples/ckptGrowth). Running the
-// insert under the lane mutex keeps that lane and its shard in lockstep:
-// a lane checkpoint always covers exactly the shard samples already
-// visible, so compaction can never drop a journaled-but-uncheckpointed
-// sample.
-func (wl *WarehouseLog) journal(s Sample) error {
-	k := wl.w.shardIndex(s.Server)
+// journal persists one lane's run of accepted samples as one WAL record
+// and inserts it, checkpointing the lane first when its suffix has reached
+// max(everyLane, ckptSamples/ckptGrowth). The record is the run's sample
+// records back to back, copied from the frame when the run came in one.
+// Running the insert under the lane mutex keeps that lane and its shard in
+// lockstep: a lane checkpoint always covers exactly the shard samples
+// already visible, so compaction can never drop a
+// journaled-but-uncheckpointed sample. A torn record recovers as a whole
+// run or not at all.
+func (wl *WarehouseLog) journal(k int, r laneRun) error {
 	lane := &wl.lanes[k]
 	lane.mu.Lock()
 	defer lane.mu.Unlock()
@@ -369,12 +373,19 @@ func (wl *WarehouseLog) journal(s Sample) error {
 			return err
 		}
 	}
-	lane.rec = appendRecord(lane.rec[:0], &s)
+	lane.rec = lane.rec[:0]
+	for _, o := range r.idx {
+		if r.recs != nil {
+			lane.rec = append(lane.rec, r.recs[o]...)
+		} else {
+			lane.rec = appendRecord(lane.rec, &r.samples[o])
+		}
+	}
 	if err := lane.log.Append(lane.rec); err != nil {
 		return err
 	}
-	lane.sinceCkpt++
-	wl.w.insert(s)
+	lane.sinceCkpt += len(r.idx)
+	wl.w.insertRun(k, r)
 	return nil
 }
 

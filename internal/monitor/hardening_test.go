@@ -1,19 +1,17 @@
 package monitor
 
 import (
-	"encoding/json"
 	"io"
 	"net"
 	"strings"
 	"testing"
 	"time"
-
-	"vmwild/internal/trace"
 )
 
 // The hardening contract shared by the warehouse and query server: read
-// deadlines sever silent peers, oversized lines end the connection, and
-// malformed-but-bounded lines leave the connection usable.
+// deadlines sever silent peers and oversized frames or lines end the
+// connection. A malformed query line leaves the connection usable; a
+// malformed frame closes it (TestEnvelopeCorruptFrameClosesConn).
 
 func dialT(t *testing.T, addr string) net.Conn {
 	t.Helper()
@@ -65,40 +63,20 @@ func TestWarehouseOversizedLineClosesConn(t *testing.T) {
 	defer w.Close()
 
 	conn := dialT(t, addr)
-	if _, err := conn.Write([]byte(strings.Repeat("x", 4096) + "\n")); err != nil {
+	samples := make([]Sample, 16)
+	for i := range samples {
+		samples[i] = validSample("s", i)
+	}
+	frame := appendFrame(nil, "agent-1", 1, samples)
+	if len(frame) <= w.MaxLineBytes {
+		t.Fatalf("a %d-byte frame is not oversized", len(frame))
+	}
+	if _, err := conn.Write(frame); err != nil {
 		t.Fatal(err)
 	}
-	expectClosed(t, conn, "oversized line")
-}
-
-func TestWarehouseMalformedLineKeepsConnUsable(t *testing.T) {
-	w := NewWarehouse(0)
-	addr, err := w.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer w.Close()
-
-	conn := dialT(t, addr)
-	good := Sample{Server: "s", Timestamp: epoch, TotalProcessorPct: 10, MemCommittedMB: 1}
-	payload, err := json.Marshal(good)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Garbage between two valid samples on the SAME connection: both
-	// samples land, the garbage counts as dropped.
-	lines := append(append(append([]byte(nil), payload...), []byte("\n{not json}\n")...), payload...)
-	lines = append(lines, '\n')
-	if _, err := conn.Write(lines); err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for w.SampleCount(trace.ServerID("s")) < 1 || w.Dropped() < 1 {
-		if time.Now().After(deadline) {
-			t.Fatalf("samples=%d dropped=%d; want >=1 sample and >=1 dropped",
-				w.SampleCount(trace.ServerID("s")), w.Dropped())
-		}
-		time.Sleep(time.Millisecond)
+	expectClosed(t, conn, "oversized frame")
+	if got := w.Stats().Samples; got != 0 {
+		t.Fatalf("oversized frame ingested %d samples", got)
 	}
 }
 

@@ -1,8 +1,8 @@
 // Package monitor implements the Monitoring step of the consolidation flow
 // (Sections 2.1 and 3.1): per-server agents collect the Table 1 metric set
-// every minute and stream it over TCP (JSON lines) to a central warehouse,
-// which retains raw samples under a retention policy and aggregates them to
-// the hourly averages consolidation planning consumes.
+// every minute and stream it over TCP (acked binary frames) to a central
+// warehouse, which retains raw samples under a retention policy and
+// aggregates them to the hourly averages consolidation planning consumes.
 package monitor
 
 import (
@@ -75,19 +75,21 @@ type Metrics struct {
 	// ShedIngest counts network samples refused by the ingest limiter
 	// (the per-shard Shed fields attribute them to lock domains).
 	ShedIngest int64 `json:"shedIngest"`
-	// AckedSamples counts samples admitted through acked envelopes.
+	// AckedSamples counts samples acked as admitted.
 	AckedSamples int64 `json:"ackedSamples"`
-	// CorruptFrames counts envelopes rejected by parse or CRC check.
+	// CorruptFrames counts frames refused by magic, CRC or decode check,
+	// or cut short by EOF.
 	CorruptFrames int64 `json:"corruptFrames"`
 	// SlowClients counts connections cut on a stalled or failed ack write.
 	SlowClients int64 `json:"slowClients"`
-	// DroppedMisc counts invalid, unparseable, or journal-failed samples;
-	// JournalErrs the journal-failed subset.
+	// DroppedMisc counts invalid samples and single samples whose journal
+	// write failed; JournalErrs counts failed journal writes.
 	DroppedMisc int64 `json:"droppedMisc"`
 	JournalErrs int64 `json:"journalErrs"`
 	// DiskDegraded reports the shed-ingest read-only mode entered after a
 	// disk-full or poisoned-storage journal failure; ShedDisk counts the
-	// network samples shed while in it.
+	// samples shed by a failed lane append and the network samples shed
+	// while in it.
 	DiskDegraded bool  `json:"diskDegraded"`
 	ShedDisk     int64 `json:"shedDisk"`
 

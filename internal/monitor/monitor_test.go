@@ -190,7 +190,7 @@ func TestEndToEndOverTCP(t *testing.T) {
 			}
 			batch = append(batch, s)
 		}
-		if err := SendBatch(ctx, addr, batch); err != nil {
+		if err := sendSamples(ctx, addr, batch); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -353,7 +353,7 @@ func TestWarehouseRejectsGarbageOverTCP(t *testing.T) {
 	defer cancel()
 	// A valid sample, then garbage, then a valid sample on a fresh
 	// connection: the warehouse must keep the valid data and survive.
-	if err := SendBatch(ctx, addr, []Sample{
+	if err := sendSamples(ctx, addr, []Sample{
 		{Server: "ok", Timestamp: epoch, TotalProcessorPct: 10, MemCommittedMB: 1},
 	}); err != nil {
 		t.Fatal(err)
@@ -366,7 +366,7 @@ func TestWarehouseRejectsGarbageOverTCP(t *testing.T) {
 		t.Fatal(err)
 	}
 	conn.Close()
-	if err := SendBatch(ctx, addr, []Sample{
+	if err := sendSamples(ctx, addr, []Sample{
 		{Server: "ok", Timestamp: epoch.Add(time.Minute), TotalProcessorPct: 20, MemCommittedMB: 1},
 	}); err != nil {
 		t.Fatal(err)

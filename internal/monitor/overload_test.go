@@ -5,13 +5,13 @@ import (
 	"bytes"
 	"context"
 	"fmt"
-	"math"
 	"net"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"vmwild/internal/trace"
+	"vmwild/internal/wal"
 )
 
 // pollUntil spins on cond every 5ms until it holds or the deadline passes.
@@ -24,6 +24,25 @@ func pollUntil(t *testing.T, what string, cond func() bool) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
+}
+
+// testAgents numbers the agent IDs sendSamples uses: the warehouse
+// remembers every ID it has seen, so each sender needs its own.
+var testAgents atomic.Int64
+
+// sendSamples ships samples through a fresh ReliableSender and returns
+// once every frame is acked.
+func sendSamples(ctx context.Context, addr string, samples []Sample) error {
+	s := &ReliableSender{
+		Addr:       addr,
+		AgentID:    fmt.Sprintf("test-agent-%d", testAgents.Add(1)),
+		MaxPending: len(samples),
+	}
+	defer s.Close()
+	for i := range samples {
+		s.Queue(samples[i])
+	}
+	return s.Flush(ctx, 3)
 }
 
 func validSample(server string, minute int) Sample {
@@ -80,7 +99,7 @@ func TestIngestLimiterShedsExactly(t *testing.T) {
 	for i := range samples {
 		samples[i] = validSample(fmt.Sprintf("srv-%02d", i), i)
 	}
-	if err := SendBatch(context.Background(), addr, samples); err != nil {
+	if err := sendSamples(context.Background(), addr, samples); err != nil {
 		t.Fatal(err)
 	}
 	pollUntil(t, "5 admitted samples", func() bool { return w.Stats().Samples == 5 })
@@ -106,32 +125,27 @@ func TestIngestLimiterShedsExactly(t *testing.T) {
 }
 
 func TestEnvelopeRoundTrip(t *testing.T) {
-	samples := []byte(`[{"server":"a","ts":"2012-06-04T00:00:00Z"}]`)
-	line := appendEnvelope(nil, "agent-1", 42, samples)
-	line = bytes.TrimSuffix(line, []byte{'\n'})
-	if !bytes.HasPrefix(line, envelopePrefix) {
-		t.Fatalf("envelope does not carry the dispatch prefix: %s", line)
+	samples := []Sample{validSample("a", 0), validSample("b", 1)}
+	frame := appendFrame(nil, "agent-1", 42, samples)
+	if frame[0] == '{' || frame[0] == '[' {
+		t.Fatalf("frame starts with JSON's %q", frame[0])
 	}
-	agent, seq, got, err := decodeEnvelope(line)
-	if err != nil {
+	var f frameBatch
+	intern := make(map[string]trace.ServerID)
+	if err := f.decode(frame, intern); err != nil {
 		t.Fatal(err)
 	}
-	if agent != "agent-1" || seq != 42 || !bytes.Equal(got, samples) {
-		t.Fatalf("round trip mangled the envelope: %q %d %s", agent, seq, got)
+	if f.agent != "agent-1" || f.seq != 42 || len(f.samples) != 2 || f.samples[0] != samples[0] || f.samples[1] != samples[1] {
+		t.Fatalf("round trip mangled the frame: %q %d %+v", f.agent, f.seq, f.samples)
 	}
 
-	// Any flipped byte in the samples region must fail the CRC.
-	for i := range line {
-		mutated := append([]byte(nil), line...)
+	// The CRC covers magic, length and payload: any flipped byte, the
+	// CRC's own included, must be refused.
+	for i := range frame {
+		mutated := bytes.Clone(frame)
 		mutated[i] ^= 0x20
-		if _, _, _, err := decodeEnvelope(mutated); err == nil {
-			// A flip can land in whitespace-insensitive JSON territory
-			// only if it still decodes AND re-CRCs — which the CRC over
-			// raw sample bytes rules out for the samples region.
-			if a, s, b, _ := decodeEnvelope(mutated); a == agent && s == seq && bytes.Equal(b, samples) {
-				continue // flip landed outside every covered field and changed nothing material
-			}
-			t.Fatalf("flip at byte %d went undetected: %s", i, mutated)
+		if err := f.decode(mutated, intern); err == nil {
+			t.Fatalf("flip at byte %d went undetected", i)
 		}
 	}
 }
@@ -163,18 +177,11 @@ func TestAckRoundTrip(t *testing.T) {
 	}
 }
 
-// sendEnvelope writes one envelope over conn and reads the ack back.
+// sendEnvelope writes one frame over conn and reads the ack back.
 func sendEnvelope(t *testing.T, conn net.Conn, br *bufio.Reader, agent string, seq uint64, samples []Sample) ackResult {
 	t.Helper()
-	fc := floatCachePool.Get().(*floatCache)
-	defer floatCachePool.Put(fc)
-	array, err := appendBatchFrame(nil, samples, fc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	env := appendEnvelope(nil, agent, seq, bytes.TrimSuffix(array, []byte{'\n'}))
 	conn.SetDeadline(time.Now().Add(5 * time.Second))
-	if _, err := conn.Write(env); err != nil {
+	if _, err := conn.Write(appendFrame(nil, agent, seq, samples)); err != nil {
 		t.Fatal(err)
 	}
 	line, err := br.ReadBytes('\n')
@@ -237,9 +244,8 @@ func TestEnvelopeCorruptFrameClosesConn(t *testing.T) {
 	defer w.Close()
 
 	conn := dialT(t, addr)
-	samples := []byte(`[{"server":"a","ts":"2012-06-04T00:00:00Z"}]`)
-	env := appendEnvelope(nil, "agent-1", 1, samples)
-	env[len(env)-10] ^= 0x01 // flip a bit inside the samples array
+	env := appendFrame(nil, "agent-1", 1, []Sample{validSample("a", 0)})
+	env[len(env)-10] ^= 0x01 // flip a bit inside the sample record
 	if _, err := conn.Write(env); err != nil {
 		t.Fatal(err)
 	}
@@ -284,44 +290,57 @@ func TestReliableSenderReconciles(t *testing.T) {
 	}
 }
 
-// TestReliableSenderDropsUnencodableSamples: Validate passes NaN and ±Inf,
-// which the wire cannot carry. Such a sample is dropped and counted when its
-// chunk is frozen — even a chunk of nothing else — and the valid samples
-// queued around it still ship.
-func TestReliableSenderDropsUnencodableSamples(t *testing.T) {
+// TestReliableSenderCarriesEverySample: every sample Validate accepts —
+// NaN, ±Inf, -0, a subnormal, year 12000, a +05:30 offset — travels from
+// the sender to disk. All are acked, none dropped, and the log reopens to
+// the exact record bytes that were sent.
+func TestReliableSenderCarriesEverySample(t *testing.T) {
+	dir := t.TempDir()
 	w := NewWarehouse(0)
+	wl, err := OpenWarehouseLog(w, dir, 1<<20, wal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	addr, err := w.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer w.Close()
-
-	bad := func(minute int, v float64) Sample {
-		s := validSample("bad", minute)
-		s.PagesPerSec = v
-		return s
-	}
-	s := &ReliableSender{Addr: addr, AgentID: "nan", Chunk: 4}
-	defer s.Close()
-	for _, x := range []Sample{
-		validSample("ok", 0), bad(1, math.NaN()), validSample("ok", 2), bad(3, math.Inf(1)),
-		bad(4, math.Inf(-1)), bad(5, math.NaN()), bad(6, math.NaN()), bad(7, math.NaN()),
-		validSample("ok", 8),
-	} {
+	sent := edgeSamples("edge")
+	s := &ReliableSender{Addr: addr, AgentID: "edge", Chunk: 4}
+	for _, x := range sent {
 		s.Queue(x)
 	}
 	if err := s.Flush(context.Background(), 3); err != nil {
 		t.Fatal(err)
 	}
+	s.Close()
 	c := s.Counters()
-	if c.Acked != 3 || c.DroppedQueue != 6 || c.Pending != 0 {
-		t.Fatalf("ledger %+v, want 3 acked, 6 dropped, nothing pending", c)
+	if c.Acked != c.Queued || c.DroppedQueue != 0 || c.ServerShed != 0 || c.Pending != 0 {
+		t.Fatalf("ledger %+v, want every one of %d samples acked", c, len(sent))
 	}
-	if got := c.Acked + c.ServerShed + c.DroppedQueue + c.Pending; got != c.Queued {
-		t.Fatalf("counters do not reconcile: %d != queued %d (%+v)", got, c.Queued, c)
+	w.Close()
+	wl.Close()
+
+	w2 := NewWarehouse(0)
+	wl2, err := OpenWarehouseLog(w2, dir, 1<<20, wal.Options{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got := w.SampleCount("ok"); got != 3 {
-		t.Fatalf("warehouse holds %d of the 3 valid samples", got)
+	defer wl2.Close()
+	got := storedSamples(w2)
+	if len(got) != len(sent) {
+		t.Fatalf("reopened %d samples, sent %d", len(got), len(sent))
+	}
+	want := map[string]int{}
+	for i := range sent {
+		want[string(appendRecord(nil, &sent[i]))]++
+	}
+	for i := range got {
+		rec := string(appendRecord(nil, &got[i]))
+		if want[rec] == 0 {
+			t.Fatalf("recovered sample %+v was never sent", got[i])
+		}
+		want[rec]--
 	}
 }
 
@@ -336,14 +355,9 @@ func TestWarehouseMaxConnsKeepsListenerLive(t *testing.T) {
 
 	writeSample := func(conn net.Conn, server string) {
 		t.Helper()
-		fc := floatCachePool.Get().(*floatCache)
-		defer floatCachePool.Put(fc)
-		line, err := appendBatchFrame(nil, []Sample{validSample(server, 0)}, fc)
-		if err != nil {
-			t.Fatal(err)
-		}
+		frame := appendFrame(nil, server, 1, []Sample{validSample(server, 0)})
 		conn.SetWriteDeadline(time.Now().Add(5 * time.Second))
-		if _, err := conn.Write(line); err != nil {
+		if _, err := conn.Write(frame); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -569,7 +583,8 @@ func (f funcSource) Collect(t time.Time) (Sample, error) { return f(t) }
 
 func TestAgentDropAccounting(t *testing.T) {
 	// An unreachable warehouse: dials fail fast, the queue caps at
-	// MaxPending, and every displaced sample must be counted.
+	// MaxPending, and every displaced sample must be counted — and so
+	// must the ones still queued when the source runs dry.
 	lis, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -596,8 +611,47 @@ func TestAgentDropAccounting(t *testing.T) {
 	if err := agent.Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if got := agent.Dropped(); got != 40-4 {
-		t.Fatalf("Dropped() = %d, want %d (40 collected, 4 retained)", got, 40-4)
+	if got := agent.Dropped(); got != 40 {
+		t.Fatalf("Dropped() = %d, want 40 (36 displaced, 4 never sent)", got)
+	}
+}
+
+// TestAgentCountsUnsentWhenSourceRunsDry: the warehouse goes away midway
+// and the source runs dry while it is down. Every collected sample is then
+// either stored or counted in Dropped.
+func TestAgentCountsUnsentWhenSourceRunsDry(t *testing.T) {
+	w := NewWarehouse(0)
+	addr, err := w.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const collected, up = 30, 10
+	n := 0
+	agent := &Agent{
+		Source: funcSource(func(ts time.Time) (Sample, error) {
+			n++
+			if n == up+1 {
+				w.Close() // every earlier tick's flush has been acked
+			}
+			if n > collected {
+				return Sample{}, fmt.Errorf("done")
+			}
+			return validSample("a", n), nil
+		}),
+		Addr:       addr,
+		Interval:   time.Millisecond,
+		Backoff:    time.Millisecond,
+		BackoffMax: 2 * time.Millisecond,
+	}
+	if err := agent.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	stored := int64(w.Stats().Samples)
+	if stored != up {
+		t.Fatalf("stored %d samples before the warehouse closed, want %d", stored, up)
+	}
+	if got := stored + agent.Dropped(); got != collected {
+		t.Fatalf("stored %d + Dropped() %d = %d, want the %d collected", stored, agent.Dropped(), got, collected)
 	}
 }
 

@@ -8,15 +8,14 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
-	"slices"
 	"time"
 )
 
-// ReliableSender is the agent-side half of the acked envelope protocol: it
-// queues samples, ships them as CRC'd, sequenced envelopes, and retries a
-// frame until the warehouse acknowledges it. Together with the server's
-// per-agent dedup this gives exactly-once accounting over a hostile
-// network: every sample ever queued is, at all times, in exactly one of
+// ReliableSender is the agent-side half of the acked frame protocol
+// (envelope.go): it queues samples, ships them as CRC'd, sequenced binary
+// frames, and retries a frame until the warehouse acknowledges it.
+// Together with the server's per-agent dedup this gives exactly-once
+// accounting over a hostile network: every sample ever queued is, at all times, in exactly one of
 // {acked-ingested, acked-shed, dropped-from-queue, still-pending}, and the
 // four counters reconcile to Queued exactly.
 //
@@ -24,11 +23,11 @@ import (
 type ReliableSender struct {
 	// Addr is the warehouse TCP address (or a chaos proxy in front of it).
 	Addr string
-	// AgentID names this sender in envelopes. The warehouse dedups
+	// AgentID names this sender in frames. The warehouse dedups
 	// retries per AgentID and remembers each ID's last sequence for as
 	// long as it runs, so IDs must be unique across every sender instance
 	// the warehouse has seen, not only across live ones: a new sender
-	// reusing an old ID has its first envelope re-acked as a duplicate and
+	// reusing an old ID has its first frame re-acked as a duplicate and
 	// never stored.
 	AgentID string
 	// Seed roots the retry backoff jitter; zero is a valid seed.
@@ -36,14 +35,14 @@ type ReliableSender struct {
 	// MaxPending bounds the queue (default 4096); beyond it Queue drops
 	// the oldest sample and counts it.
 	MaxPending int
-	// Chunk caps samples per envelope (default batchChunk). Small chunks
+	// Chunk caps samples per frame (default batchChunk). Small chunks
 	// mean more frames — what the slow-loris scenarios want.
 	Chunk int
 	// Backoff is the base retry delay (default 10ms), growing
 	// exponentially to BackoffMax (default 1s) with seeded jitter.
 	Backoff    time.Duration
 	BackoffMax time.Duration
-	// Timeout bounds each envelope write and ack read (default
+	// Timeout bounds each frame write and ack read (default
 	// batchWriteTimeout).
 	Timeout time.Duration
 	// CloseEachFlush drops the connection after every successful Flush,
@@ -56,12 +55,13 @@ type ReliableSender struct {
 	br   *bufio.Reader
 
 	pending []Sample
-	// inflight is the frozen chunk awaiting its ack. It is copied out of
-	// pending at first send so queue overflow can never mutate the bytes
-	// a sequence number has already described.
-	inflight    []Sample
-	inflightSeq uint64 // 0 until the inflight chunk encodes
-	seq         uint64
+	// frame is the chunk awaiting its ack, encoded under sequence number
+	// seq when it left pending, so queue overflow can never change the
+	// bytes a sequence number has already described; inflight counts its
+	// samples.
+	frame    []byte
+	inflight int
+	seq      uint64
 
 	queued       int64
 	droppedQueue int64
@@ -98,7 +98,7 @@ func (r *ReliableSender) Counters() SenderCounters {
 }
 
 // Pending reports queued-but-unacked samples, including the inflight chunk.
-func (r *ReliableSender) Pending() int { return len(r.pending) + len(r.inflight) }
+func (r *ReliableSender) Pending() int { return len(r.pending) + r.inflight }
 
 // Queue adds one sample, dropping (and counting) the oldest beyond
 // MaxPending. The inflight chunk is never touched.
@@ -140,7 +140,7 @@ func (r *ReliableSender) ensureConn(ctx context.Context) error {
 }
 
 // Flush drives the queue to empty, allowing up to maxAttempts tries per
-// chunk (each try = write envelope + read ack). It returns nil when
+// chunk (each try = write frame + read ack). It returns nil when
 // everything queued at call time is acked; on error the inflight chunk
 // stays frozen and a later Flush resumes it under the same sequence
 // number, which the server's dedup makes safe.
@@ -167,44 +167,16 @@ func (r *ReliableSender) Flush(ctx context.Context, maxAttempts int) error {
 		maxBackoff = max(time.Second, baseBackoff)
 	}
 
-	fc := floatCachePool.Get().(*floatCache)
-	defer floatCachePool.Put(fc)
-	var frame []byte
-	for len(r.inflight) > 0 || len(r.pending) > 0 {
+	for r.inflight > 0 || len(r.pending) > 0 {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		if len(r.inflight) == 0 {
-			// Freeze the next chunk: copied, so Queue's drop-oldest can
-			// shift pending without changing what seq describes.
-			n := min(chunkSize, len(r.pending))
-			r.inflight = append(r.inflight[:0], r.pending[:n]...)
-			r.pending = r.pending[n:]
-			r.inflightSeq = 0
-		}
-
-		array, err := appendBatchFrame(frame[:0], r.inflight, fc)
-		if err != nil {
-			// Validate passes NaN and ±Inf, which the wire cannot carry:
-			// left in, such a sample would fail this chunk on every Flush
-			// and wedge the queue behind it. A chunk that encoded once
-			// always encodes, so this one has no seq yet: drop the samples
-			// that cannot be encoded, count them, and number the rest.
-			before := len(r.inflight)
-			r.inflight = slices.DeleteFunc(r.inflight, func(s Sample) bool {
-				_, err := appendSampleWire(nil, &s, fc)
-				return err != nil
-			})
-			r.droppedQueue += int64(before - len(r.inflight))
-			continue
-		}
-		if r.inflightSeq == 0 {
+		if r.inflight == 0 {
+			r.inflight = min(chunkSize, len(r.pending))
 			r.seq++
-			r.inflightSeq = r.seq
+			r.frame = appendFrame(r.frame[:0], r.AgentID, r.seq, r.pending[:r.inflight])
+			r.pending = r.pending[r.inflight:]
 		}
-		frame = array
-		samples := bytes.TrimSuffix(array, []byte{'\n'})
-		envelope := appendEnvelope(nil, r.AgentID, r.inflightSeq, samples)
 
 		backoff := baseBackoff
 		sent := false
@@ -212,11 +184,11 @@ func (r *ReliableSender) Flush(ctx context.Context, maxAttempts int) error {
 			if err := ctx.Err(); err != nil {
 				return err
 			}
-			ack, err := r.tryOnce(ctx, envelope)
-			if err == nil && ack.seq == r.inflightSeq {
+			ack, err := r.tryOnce(ctx)
+			if err == nil && ack.seq == r.seq {
 				r.acked += int64(ack.ok)
 				r.serverShed += int64(ack.shed)
-				r.inflight = r.inflight[:0]
+				r.inflight = 0
 				sent = true
 				break
 			}
@@ -232,8 +204,8 @@ func (r *ReliableSender) Flush(ctx context.Context, maxAttempts int) error {
 			}
 		}
 		if !sent {
-			return fmt.Errorf("monitor: envelope %d unacked after %d attempts (%d samples still pending)",
-				r.inflightSeq, maxAttempts, r.Pending())
+			return fmt.Errorf("monitor: frame %d unacked after %d attempts (%d samples still pending)",
+				r.seq, maxAttempts, r.Pending())
 		}
 	}
 	if r.CloseEachFlush {
@@ -242,8 +214,9 @@ func (r *ReliableSender) Flush(ctx context.Context, maxAttempts int) error {
 	return nil
 }
 
-// tryOnce performs one envelope write + ack read round trip.
-func (r *ReliableSender) tryOnce(ctx context.Context, envelope []byte) (ackResult, error) {
+// tryOnce performs one frame write + ack read round trip. Cancelling ctx
+// fails a blocked write or read at once rather than after Timeout.
+func (r *ReliableSender) tryOnce(ctx context.Context) (ackResult, error) {
 	if err := r.ensureConn(ctx); err != nil {
 		return ackResult{}, err
 	}
@@ -254,10 +227,13 @@ func (r *ReliableSender) tryOnce(ctx context.Context, envelope []byte) (ackResul
 	if err := r.conn.SetDeadline(deadline); err != nil {
 		return ackResult{}, err
 	}
-	if _, err := r.conn.Write(envelope); err != nil {
+	conn := r.conn
+	stop := context.AfterFunc(ctx, func() { conn.SetDeadline(time.Unix(1, 0)) })
+	defer stop()
+	if _, err := conn.Write(r.frame); err != nil {
 		return ackResult{}, err
 	}
-	line, err := r.br.ReadBytes('\n')
+	line, err := r.br.ReadSlice('\n')
 	if err != nil {
 		return ackResult{}, err
 	}

@@ -3,7 +3,6 @@ package monitor
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -333,7 +332,7 @@ func TestShardedWarehouseConcurrency(t *testing.T) {
 		id := fmt.Sprintf("cw-tcp-%d", i)
 		allIDs = append(allIDs, trace.ServerID(id))
 		spawn(id, func(id trace.ServerID) error {
-			return SendBatch(ctx, addr, benchSamples(string(id), per))
+			return sendSamples(ctx, addr, benchSamples(string(id), per))
 		})
 	}
 
@@ -490,13 +489,10 @@ func TestWarehouseAcceptRecovers(t *testing.T) {
 
 	client, server := net.Pipe()
 	lis.conns <- server
-	line, err := json.Marshal(Sample{Server: "recovered", Timestamp: benchEpoch,
-		TotalProcessorPct: 42, MemCommittedMB: 256})
-	if err != nil {
-		t.Fatal(err)
-	}
+	frame := appendFrame(nil, "agent-1", 1, []Sample{{Server: "recovered", Timestamp: benchEpoch,
+		TotalProcessorPct: 42, MemCommittedMB: 256}})
 	go func() {
-		client.Write(append(line, '\n')) //nolint:errcheck
+		client.Write(frame) //nolint:errcheck
 		client.Close()
 	}()
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
@@ -555,12 +551,12 @@ func TestServeConnDeadlineError(t *testing.T) {
 	})
 }
 
-// ---- SendBatch cancellation ----
+// ---- sender cancellation ----
 
-// TestSendBatchCancel proves a stalled warehouse cannot hang a backfill:
-// the peer accepts but never reads, and cancellation must fail the call
-// promptly rather than after the full write deadline.
-func TestSendBatchCancel(t *testing.T) {
+// TestReliableSenderCancel proves a stalled warehouse cannot hang a
+// backfill: the peer accepts but never reads or acks, and cancellation
+// must fail the flush promptly rather than after the full timeout.
+func TestReliableSenderCancel(t *testing.T) {
 	lis, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -583,9 +579,9 @@ func TestSendBatchCancel(t *testing.T) {
 		cancel()
 	}()
 	start := time.Now()
-	err = SendBatch(ctx, lis.Addr().String(), benchSamples("cancel", 50000))
+	err = sendSamples(ctx, lis.Addr().String(), benchSamples("cancel", 50000))
 	if err == nil {
-		t.Fatal("SendBatch returned nil against a peer that never reads")
+		t.Fatal("Flush returned nil against a peer that never reads")
 	}
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
 		t.Fatalf("cancellation took %v; the deadline poke is not working", elapsed)

@@ -54,13 +54,34 @@ func appendRecord(dst []byte, s *Sample) []byte {
 	return dst
 }
 
+// uvarint is binary.Uvarint that also refuses a non-minimal encoding (a
+// multi-byte varint whose last byte is zero), so that every accepted
+// record and frame re-encodes to its own bytes.
+func uvarint(b []byte) (uint64, int) {
+	v, n := binary.Uvarint(b)
+	if n > 1 && b[n-1] == 0 {
+		return 0, -1
+	}
+	return v, n
+}
+
+// varint is binary.Varint under uvarint's minimality rule.
+func varint(b []byte) (int64, int) {
+	u, n := uvarint(b)
+	x := int64(u >> 1)
+	if u&1 != 0 {
+		x = ^x
+	}
+	return x, n
+}
+
 // decodeRecord decodes the record at the front of b and returns the rest,
-// interning server IDs in intern like decodeBatch. It rejects a truncated
-// record, an ID that runs past b and nanoseconds >= 1e9, and never panics
-// on arbitrary input.
+// interning server IDs in intern. It rejects a truncated record, a
+// non-minimal varint, an ID that runs past b and nanoseconds >= 1e9, and
+// never panics on arbitrary input.
 func decodeRecord(b []byte, intern map[string]trace.ServerID) (Sample, []byte, error) {
 	var s Sample
-	idLen, n := binary.Uvarint(b)
+	idLen, n := uvarint(b)
 	if n <= 0 {
 		return s, nil, errRecordTruncated
 	}
@@ -69,18 +90,18 @@ func decodeRecord(b []byte, intern map[string]trace.ServerID) (Sample, []byte, e
 	}
 	s.Server = internServer(intern, b[:idLen])
 	b = b[idLen:]
-	sec, n1 := binary.Varint(b)
+	sec, n1 := varint(b)
 	if n1 <= 0 {
 		return s, nil, errRecordTruncated
 	}
-	nsec, n2 := binary.Uvarint(b[n1:])
+	nsec, n2 := uvarint(b[n1:])
 	if n2 <= 0 {
 		return s, nil, errRecordTruncated
 	}
 	if nsec >= 1e9 {
 		return s, nil, errRecordNanos
 	}
-	off, n3 := binary.Varint(b[n1+n2:])
+	off, n3 := varint(b[n1+n2:])
 	if n3 <= 0 || len(b) < n1+n2+n3+8*recordFloats {
 		return s, nil, errRecordTruncated
 	}

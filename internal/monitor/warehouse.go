@@ -2,7 +2,6 @@ package monitor
 
 import (
 	"bufio"
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -17,11 +16,10 @@ import (
 	"vmwild/internal/wal"
 )
 
-// DefaultMaxLineBytes bounds one JSON line on an ingestion or query
-// connection. An agent sample is a few hundred bytes and a batch frame a
-// few hundred KB at most; anything near this limit is garbage or an
-// attack, and the connection is dropped rather than buffered without
-// bound.
+// DefaultMaxLineBytes bounds one frame on an ingestion connection and one
+// JSON line on a query connection. A full frame of samples is about 50 KB;
+// anything near this limit is garbage or an attack, and the connection is
+// dropped rather than buffered without bound.
 const DefaultMaxLineBytes = 1 << 20
 
 // DefaultIngestShards is the shard count NewWarehouse uses. It is a fixed
@@ -38,9 +36,23 @@ var (
 	errPrecedeEpoch = errors.New("monitor: samples precede epoch")
 )
 
-// journalFn is the write-ahead hook type; stored behind an atomic pointer
-// so the ingest hot path reads it without a lock.
-type journalFn func(Sample) error
+// laneRun is one shard's share of a batch: the samples at idx, in arrival
+// order. recs, when non-nil, holds every sample's record bytes as they
+// arrived in a frame, so the journal copies them rather than encoding
+// them again.
+type laneRun struct {
+	samples []Sample
+	recs    [][]byte
+	idx     []int32
+}
+
+// firstOnly is the index list of a run of one.
+var firstOnly = []int32{0}
+
+// journalFn is the write-ahead hook: it makes lane's run durable and then
+// inserts it (see WarehouseLog.journal). It is stored behind an atomic
+// pointer so the ingest hot path reads it without a lock.
+type journalFn func(lane int, r laneRun) error
 
 // shard is one lock domain of the warehouse: a subset of servers chosen by
 // ServerID hash, with its own mutex, sample/eviction counters, and
@@ -118,12 +130,11 @@ type serverCache struct {
 	ids []trace.ServerID
 }
 
-// Warehouse is the central monitoring store: it accepts JSON samples over
-// TCP — one object per line, or a batch frame holding a JSON array of
-// objects — retains them under a retention policy, and aggregates them
-// into the hourly-average series consolidation planning consumes. Storage
-// is sharded by ServerID hash so concurrent agents and query clients do
-// not contend on one lock.
+// Warehouse is the central monitoring store: it accepts acked binary
+// sample frames over TCP (envelope.go), retains them under a retention
+// policy, and aggregates them into the hourly-average series
+// consolidation planning consumes. Storage is sharded by ServerID hash so
+// concurrent agents and query clients do not contend on one lock.
 type Warehouse struct {
 	// Retention drops samples older than this relative to the newest
 	// sample of the same server (0 keeps everything). The paper's
@@ -133,11 +144,11 @@ type Warehouse struct {
 	// than this (0 disables). Agents reconnect with backoff, so a hung
 	// peer costs a file descriptor for at most one timeout.
 	ReadTimeout time.Duration
-	// MaxLineBytes bounds one JSON line (default DefaultMaxLineBytes);
-	// a connection exceeding it is closed. Malformed lines within the
-	// bound are counted as dropped and the connection stays usable.
+	// MaxLineBytes bounds one frame (default DefaultMaxLineBytes); a
+	// connection sending a larger one is closed, as is one sending a
+	// malformed frame of any size.
 	MaxLineBytes int
-	// WriteTimeout bounds each envelope acknowledgment write (0 falls
+	// WriteTimeout bounds each frame acknowledgment write (0 falls
 	// back to batchWriteTimeout). A client too slow to drain its acks is
 	// counted and disconnected rather than pinning a handler.
 	WriteTimeout time.Duration
@@ -156,7 +167,7 @@ type Warehouse struct {
 	shards []shard
 
 	journal     atomic.Pointer[journalFn]
-	droppedMisc atomic.Int64 // invalid, unparseable, or journal-failed samples
+	droppedMisc atomic.Int64 // invalid or journal-failed samples
 	journalErrs atomic.Int64
 
 	// diskDegraded latches when the journal reports the disk is full or
@@ -165,16 +176,16 @@ type Warehouse struct {
 	// the warehouse fails a bounded number of journal writes, not one per
 	// arriving sample.
 	diskDegraded atomic.Bool
-	shedDisk     atomic.Int64 // network samples shed while disk-degraded
+	shedDisk     atomic.Int64 // samples shed by a failed journal append or while disk-degraded
 
 	limiter       atomic.Pointer[tokenBucket]
 	shedIngest    atomic.Int64 // network samples refused by the limiter
-	ackedSamples  atomic.Int64 // samples admitted through acked envelopes
-	corruptFrames atomic.Int64 // envelopes rejected by parse or CRC
+	ackedSamples  atomic.Int64 // samples acked as admitted
+	corruptFrames atomic.Int64 // frames rejected by magic, CRC, decode or truncation
 	slowClients   atomic.Int64 // connections cut on a stalled ack write
 
 	ackMu   sync.Mutex
-	lastAck map[string]ackResult // per-agent last envelope result, for exactly-once retries
+	lastAck map[string]ackResult // per-agent last frame result, for exactly-once retries
 
 	serverGen  atomic.Uint64 // bumped after a new server's map insert
 	serverList atomic.Pointer[serverCache]
@@ -361,21 +372,25 @@ func (w *Warehouse) serveConn(conn net.Conn) {
 	if maxLine <= 0 {
 		maxLine = DefaultMaxLineBytes
 	}
-	// Line-based ingestion with a bounded buffer: one malformed line is
-	// one dropped sample (or one dropped batch), not a poisoned stream,
-	// and an oversized line ends the connection instead of growing the
-	// buffer without bound.
+	// One frame per token, bounded by maxLine: an oversized frame ends
+	// the connection instead of growing the buffer without bound.
 	sc := bufio.NewScanner(conn)
 	// Scanner treats max(cap(buf), limit) as the token bound, so the
-	// initial buffer must not exceed the configured limit. Batch frames
-	// run to ~128 KiB, so starting near that size skips the grow-and-copy
+	// initial buffer must not exceed the configured limit. A full frame
+	// runs to ~50 KiB, so starting at 64 KiB skips the grow-and-copy
 	// ladder on every connection.
-	sc.Buffer(make([]byte, 0, min(128*1024, maxLine)), maxLine)
+	sc.Buffer(make([]byte, 0, min(64*1024, maxLine)), maxLine)
+	sc.Split(splitFrame(maxLine))
 	// Server IDs repeat on every sample of a connection; interning them
 	// makes the steady-state decode allocation-free per sample.
 	intern := make(map[string]trace.ServerID, 16)
-	batch := takeBatch()
-	defer putBatch(batch)
+	f := batchPool.Get().(*frameBatch)
+	defer func() {
+		// Drop the references into this connection's read buffer.
+		clear(f.recs[:cap(f.recs)])
+		batchPool.Put(f)
+	}()
+	var ack []byte
 	for {
 		if w.ReadTimeout > 0 {
 			if err := conn.SetReadDeadline(time.Now().Add(w.ReadTimeout)); err != nil {
@@ -386,50 +401,39 @@ func (w *Warehouse) serveConn(conn net.Conn) {
 		}
 		// Close pokes the read deadline after closing shutdown; checking
 		// here, after arming ours, means a poke is never overwritten
-		// unseen, and the envelope in hand has been finished and acked.
+		// unseen, and the frame in hand has been finished and acked.
 		select {
 		case <-w.shutdown:
 			return
 		default:
 		}
 		if !sc.Scan() {
-			// EOF, read timeout, or a line beyond MaxLineBytes.
+			// EOF, read timeout, a frame beyond MaxLineBytes, or a
+			// malformed one.
+			if err := sc.Err(); err == errFrameMagic || err == errFrameTruncated {
+				w.corruptFrames.Add(1)
+			}
 			return
 		}
-		line := bytes.TrimSpace(sc.Bytes())
-		if len(line) == 0 {
-			continue
+		// A frame that fails its CRC or decode is refused and the
+		// connection closed, so the sender retries the whole frame
+		// instead of the server trusting a mangled one.
+		if err := f.decode(sc.Bytes(), intern); err != nil {
+			w.corruptFrames.Add(1)
+			return
 		}
-		if bytes.HasPrefix(line, envelopePrefix) {
-			// Acked envelope: parse, CRC-check, admit, acknowledge. A
-			// protocol error closes the connection so the sender retries
-			// the whole frame instead of trusting a mangled one.
-			if !w.serveEnvelope(conn, line, batch[:0], intern) {
-				return
-			}
-			continue
+		res := w.admitFrame(f)
+		if err := conn.SetWriteDeadline(time.Now().Add(writeTimeout(w.WriteTimeout))); err != nil {
+			w.slowClients.Add(1)
+			return
 		}
-		if line[0] == '[' {
-			// Batch frame: a JSON array of sample objects on one line.
-			var err error
-			batch, err = decodeBatch(line, batch[:0], intern)
-			if err != nil {
-				w.droppedMisc.Add(1)
-				continue
-			}
-			granted := w.admit(batch)
-			w.IngestBatch(batch[:granted])
-			continue
+		ack = appendAck(ack[:0], res)
+		if _, err := conn.Write(ack); err != nil {
+			// The samples are in; the ack is lost. The sender retries the
+			// seq and the dedup map replays this exact ack.
+			w.slowClients.Add(1)
+			return
 		}
-		s, err := decodeSample(line, intern)
-		if err != nil {
-			w.droppedMisc.Add(1)
-			continue
-		}
-		if w.admit([]Sample{s}) == 0 {
-			continue
-		}
-		w.Ingest(s)
 	}
 }
 
@@ -455,7 +459,7 @@ func (w *Warehouse) SetIngestLimit(rate float64, burst int) {
 func (w *Warehouse) admit(batch []Sample) int {
 	if w.diskDegraded.Load() {
 		// Read-only mode: nothing gets journaled, so nothing gets acked.
-		// Envelope senders see shed == len(batch) and hold their data.
+		// Senders see shed == len(batch) and hold their data.
 		w.shedDisk.Add(int64(len(batch)))
 		for i := range batch {
 			w.shards[w.shardIndex(batch[i].Server)].shed.Add(1)
@@ -476,56 +480,31 @@ func (w *Warehouse) admit(batch []Sample) int {
 	return granted
 }
 
-// serveEnvelope handles one acked envelope line; false means the
-// connection must close (protocol violation or unwritable ack).
-func (w *Warehouse) serveEnvelope(conn net.Conn, line []byte, batch []Sample, intern map[string]trace.ServerID) bool {
-	agent, seq, rawSamples, err := decodeEnvelope(line)
-	if err != nil {
-		w.corruptFrames.Add(1)
-		return false
-	}
-	batch, err = decodeBatch(rawSamples, batch, intern)
-	if err != nil {
-		// The CRC passed, so the sender really framed an undecodable
-		// array — same contract as a corrupt frame: refuse and close.
-		w.corruptFrames.Add(1)
-		return false
-	}
-
-	// Exactly-once: a duplicate sequence re-acks the ORIGINAL counts
-	// without touching storage, so a retry after a lost ack neither
-	// double-ingests nor double-counts. The map is per-agent, and the
-	// sender never advances seq until the previous one is acked.
+// admitFrame admits and stores one decoded frame and returns its ack.
+// Exactly-once: a duplicate sequence re-acks the ORIGINAL counts without
+// touching storage, so a retry after a lost ack neither double-ingests nor
+// double-counts. The map is per-agent, and the sender never advances seq
+// until the previous one is acked.
+func (w *Warehouse) admitFrame(f *frameBatch) ackResult {
 	w.ackMu.Lock()
-	res, replay := w.lastAck[agent]
-	if !replay || res.seq != seq {
-		granted := w.admit(batch)
-		// The ack may only claim what the journal actually made durable: a
-		// disk that fills mid-envelope sheds the batch's tail instead of
-		// acking samples that were never stored.
-		ok := w.ingestBatchDurable(batch[:granted])
-		w.ackedSamples.Add(int64(ok))
-		res = ackResult{seq: seq, ok: ok, shed: len(batch) - ok}
-		w.lastAck[agent] = res
+	defer w.ackMu.Unlock()
+	if res, replay := w.lastAck[f.agent]; replay && res.seq == f.seq {
+		return res
 	}
-	w.ackMu.Unlock()
-
-	if err := conn.SetWriteDeadline(time.Now().Add(writeTimeout(w.WriteTimeout))); err != nil {
-		w.slowClients.Add(1)
-		return false
-	}
-	if _, err := conn.Write(appendAck(nil, res)); err != nil {
-		// The samples are in; the ack is lost. The sender retries the
-		// seq and the dedup map replays this exact ack.
-		w.slowClients.Add(1)
-		return false
-	}
-	return true
+	granted := w.admit(f.samples)
+	// The ack may only claim what the journal actually made durable: a
+	// lane append that fails sheds its run and every later one instead of
+	// acking samples that were never stored.
+	ok := w.ingestRuns(f.samples[:granted], f.recs[:granted])
+	w.ackedSamples.Add(int64(ok))
+	res := ackResult{seq: f.seq, ok: ok, shed: len(f.samples) - ok}
+	w.lastAck[f.agent] = res
+	return res
 }
 
 // Close stops the listener, drains the agent connections and waits for
-// their handlers to end. Each handler finishes — and acks — the envelope
-// it is serving, then stops reading, so every envelope a sender wrote is
+// their handlers to end. Each handler finishes — and acks — the frame it
+// is serving, then stops reading, so every frame a sender wrote is
 // either acked or left for it to retry; agents reconnect with backoff.
 func (w *Warehouse) Close() error {
 	close(w.shutdown)
@@ -542,23 +521,18 @@ func (w *Warehouse) Close() error {
 	return err
 }
 
-// SetJournal routes every accepted sample through j before it becomes
+// setJournal routes every accepted run through j before it becomes
 // visible — the write-ahead hook behind WarehouseLog. The journal is
-// responsible for making the sample durable and then inserting it (see
-// WarehouseLog); a journal error drops the sample, because a sample that
-// cannot be made durable must not be acknowledged. Set it before any
-// ingestion begins.
-func (w *Warehouse) SetJournal(j func(Sample) error) {
-	if j == nil {
-		w.journal.Store(nil)
-		return
-	}
-	fn := journalFn(j)
-	w.journal.Store(&fn)
+// responsible for making the run durable and then inserting it; a journal
+// error drops the run, because a sample that cannot be made durable must
+// not be acknowledged. Set it before any ingestion begins.
+func (w *Warehouse) setJournal(j journalFn) {
+	w.journal.Store(&j)
 }
 
-// JournalErrors reports how many accepted samples were dropped because the
-// journal could not persist them.
+// JournalErrors reports how many journal writes failed. A failed single
+// sample is also counted in Dropped; a failed run's samples are counted in
+// ShedDisk.
 func (w *Warehouse) JournalErrors() int {
 	return int(w.journalErrs.Load())
 }
@@ -580,7 +554,7 @@ func (w *Warehouse) IngestDurable(s Sample) error {
 		return err
 	}
 	if j := w.journal.Load(); j != nil {
-		if err := (*j)(s); err != nil {
+		if err := journalOne(*j, w.shardIndex(s.Server), s); err != nil {
 			w.droppedMisc.Add(1)
 			w.journalErrs.Add(1)
 			w.noteJournalError(err)
@@ -588,19 +562,33 @@ func (w *Warehouse) IngestDurable(s Sample) error {
 		}
 		return nil
 	}
-	w.insert(s)
+	one := [1]Sample{s}
+	w.insertRun(w.shardIndex(s.Server), laneRun{samples: one[:], idx: firstOnly})
 	return nil
 }
 
-// insert adds one validated sample to its shard under the retention
-// policy. A new server's generation bumps land before the shard lock is
-// released, so whoever sees its samples also sees it in Servers().
-func (w *Warehouse) insert(s Sample) {
-	sh := &w.shards[w.shardIndex(s.Server)]
+// journalOne journals s as a run of one; apart from IngestDurable so that
+// only the journaled path moves s to the heap.
+func journalOne(j journalFn, lane int, s Sample) error {
+	return j(lane, laneRun{samples: []Sample{s}, idx: firstOnly})
+}
+
+// insertRun adds a run of validated samples to shard k under one
+// acquisition of its lock and the retention policy. A new server's
+// generation bumps land before the lock is released, so whoever sees its
+// samples also sees it in Servers().
+func (w *Warehouse) insertRun(k int, r laneRun) {
+	sh := &w.shards[k]
+	shardNew := 0
 	sh.mu.Lock()
-	if sh.insertLocked(w.Retention, s) {
-		sh.idGen.Add(1)
-		w.serverGen.Add(1)
+	for _, o := range r.idx {
+		if sh.insertLocked(w.Retention, r.samples[o]) {
+			shardNew++
+		}
+	}
+	if shardNew > 0 {
+		sh.idGen.Add(uint64(shardNew))
+		w.serverGen.Add(uint64(shardNew))
 	}
 	sh.mu.Unlock()
 }
@@ -621,7 +609,7 @@ func (sh *shard) insertLocked(retention time.Duration, s Sample) (isNew bool) {
 	return isNew
 }
 
-// batchScratch holds the counting-sort workspace IngestBatch reuses across
+// batchScratch holds the counting-sort workspace ingestRuns reuses across
 // calls through a pool.
 type batchScratch struct {
 	idx    []int32 // shard per sample, -1 for invalid
@@ -640,68 +628,27 @@ func growInt32(s []int32, n int) []int32 {
 	return s[:n]
 }
 
-// ingestBatchDurable is the envelope path's journal-aware ingest: it
-// returns how many leading samples actually landed, so the ack never
-// claims durability the journal refused. On the first journal failure the
-// rest of the batch is shed — counted in shedDisk and per shard — without
-// probing the broken disk once per sample, and the error latches degraded
+// ingestRuns stores samples grouped by shard: a stable counting sort puts
+// each shard's valid samples in one run, in arrival order, and each run
+// lands under one shard-lock acquisition — through the journal, as one WAL
+// append per lane, when one is attached. recs is nil or holds each
+// sample's record bytes. It returns how many samples count as accepted:
+// those of every run that landed plus the invalid ones, which are dropped
+// and counted as on every path. When a lane's append fails, that run and
+// every later one are shed — counted in shedDisk and per shard, never
+// probing the broken disk once per sample — and the error latches degraded
 // mode when it is typed as disk-full or poisoned storage.
-func (w *Warehouse) ingestBatchDurable(samples []Sample) int {
-	j := w.journal.Load()
-	if j == nil {
-		w.IngestBatch(samples)
-		return len(samples)
-	}
-	for i := range samples {
-		if err := samples[i].Validate(); err != nil {
-			// An invalid sample is acked (the sender must not retry it)
-			// but dropped, exactly as on the journal-free path.
-			w.droppedMisc.Add(1)
-			continue
-		}
-		if err := (*j)(samples[i]); err != nil {
-			w.journalErrs.Add(1)
-			w.noteJournalError(err)
-			shed := samples[i:]
-			w.shedDisk.Add(int64(len(shed)))
-			for k := range shed {
-				w.shards[w.shardIndex(shed[k].Server)].shed.Add(1)
-			}
-			return i
-		}
-	}
-	return len(samples)
-}
-
-// IngestBatch stores a batch of samples with one shard-lock acquisition
-// per touched shard, grouping samples by shard with a counting sort that
-// preserves arrival order within each server. With a journal attached it
-// degrades to the per-sample durable path, preserving the
-// checkpoint-before-append contract.
-func (w *Warehouse) IngestBatch(samples []Sample) {
+func (w *Warehouse) ingestRuns(samples []Sample, recs [][]byte) int {
 	if len(samples) == 0 {
-		return
+		return 0
 	}
-	if j := w.journal.Load(); j != nil {
-		for i := range samples {
-			if err := samples[i].Validate(); err != nil {
-				w.droppedMisc.Add(1)
-				continue
-			}
-			if err := (*j)(samples[i]); err != nil {
-				w.droppedMisc.Add(1)
-				w.journalErrs.Add(1)
-				w.noteJournalError(err)
-			}
-		}
-		return
-	}
-
 	sc := batchScratchPool.Get().(*batchScratch)
+	defer batchScratchPool.Put(sc)
 	idx := growInt32(sc.idx, len(samples))
 	counts := growInt32(sc.counts, len(w.shards))
 	clear(counts)
 	order := growInt32(sc.order, len(samples))
+	sc.idx, sc.counts, sc.order = idx, counts, order
 
 	for i := range samples {
 		if err := samples[i].Validate(); err != nil {
@@ -721,6 +668,7 @@ func (w *Warehouse) IngestBatch(samples []Sample) {
 		counts[k] = start
 		start += c
 	}
+	valid := int(start)
 	for i := range samples {
 		if idx[i] < 0 {
 			continue
@@ -729,30 +677,50 @@ func (w *Warehouse) IngestBatch(samples []Sample) {
 		counts[idx[i]]++
 	}
 
+	j := w.journal.Load()
 	pos := 0
 	for k := range w.shards {
 		end := int(counts[k]) // counts[k] is now the end offset of run k
 		if pos == end {
 			continue
 		}
-		sh := &w.shards[k]
-		shardNew := 0
-		sh.mu.Lock()
-		for _, o := range order[pos:end] {
-			if sh.insertLocked(w.Retention, samples[o]) {
-				shardNew++
+		r := laneRun{samples: samples, recs: recs, idx: order[pos:end]}
+		if j == nil {
+			w.insertRun(k, r)
+		} else if err := (*j)(k, r); err != nil {
+			w.journalErrs.Add(1)
+			w.noteJournalError(err)
+			for _, o := range order[pos:valid] {
+				w.shards[idx[o]].shed.Add(1)
 			}
+			w.shedDisk.Add(int64(valid - pos))
+			return len(samples) - (valid - pos)
 		}
-		if shardNew > 0 { // before the unlock, as in insert
-			sh.idGen.Add(uint64(shardNew))
-			w.serverGen.Add(uint64(shardNew))
-		}
-		sh.mu.Unlock()
 		pos = end
 	}
+	return len(samples)
+}
 
-	sc.idx, sc.counts, sc.order = idx, counts, order
-	batchScratchPool.Put(sc)
+// maxJournalRun bounds how many samples one IngestBatch pass hands the
+// journal, so a lane's WAL record stays far below wal.MaxRecordBytes
+// however large the in-process batch.
+const maxJournalRun = 64 * batchChunk
+
+// IngestBatch stores a batch of samples with one shard-lock acquisition
+// per touched shard — and, with a journal attached, one WAL append per
+// touched lane — grouping samples by shard with a counting sort that
+// preserves arrival order within each server. A failed append sheds the
+// rest of the pass as ingestRuns describes.
+func (w *Warehouse) IngestBatch(samples []Sample) {
+	if w.journal.Load() == nil {
+		w.ingestRuns(samples, nil)
+		return
+	}
+	for len(samples) > 0 {
+		n := min(len(samples), maxJournalRun)
+		w.ingestRuns(samples[:n], nil)
+		samples = samples[n:]
+	}
 }
 
 // Dropped reports how many samples were rejected or expired.

@@ -340,13 +340,16 @@ func DrainHost(p *Placement, host string, cfg ExecutorConfig) (*MigrationSchedul
 
 // Monitoring substrate (Sections 2.1 and 3.1 of the paper): per-server
 // agents stream the Table 1 metric set over TCP to a central warehouse that
-// aggregates it into the hourly series the planners consume.
+// aggregates it into the hourly series the planners consume. The wire has
+// one dialect: acked binary frames of sample records, sent by
+// ReliableSender (which MonitorAgent wraps).
 type (
 	// MonitorSample is one Table 1 observation.
 	MonitorSample = monitor.Sample
 	// MonitorSource produces samples for one server.
 	MonitorSource = monitor.Source
-	// MonitorAgent is the per-server collector.
+	// MonitorAgent is the per-server collector, a ReliableSender fed on
+	// a ticker.
 	MonitorAgent = monitor.Agent
 	// Warehouse is the central monitoring store. Its Snapshot and Restore
 	// write and read the binary sample snapshot its WAL lane checkpoints
@@ -374,11 +377,6 @@ func NewWarehouseShards(retention time.Duration, shards int) *Warehouse {
 // NewTraceSource replays a demand trace as per-minute monitoring samples.
 func NewTraceSource(st *ServerTrace, epoch time.Time, seed int64) (MonitorSource, error) {
 	return monitor.NewTraceSource(st, epoch, seed)
-}
-
-// SendMonitorBatch ships samples to a warehouse over one TCP connection.
-func SendMonitorBatch(ctx context.Context, addr string, samples []MonitorSample) error {
-	return monitor.SendBatch(ctx, addr, samples)
 }
 
 // Runtime controller: the live dynamic-consolidation loop of the paper's
@@ -559,7 +557,7 @@ func RunScenario(s *Scenario, opts ScenarioOptions) (*ScenarioResult, error) {
 // Overload protection and network chaos: the serving plane's robustness
 // surface. The warehouse gates connections and sheds over-budget ingest
 // through a token bucket (every refusal counted, never silent), the
-// reliable sender ships CRC'd acked envelopes whose counters reconcile
+// reliable sender ships CRC'd acked frames whose counters reconcile
 // exactly against the warehouse's books, and the chaos proxy injects
 // seeded network faults to prove all of it under fire — the chaos wall in
 // internal/scenario runs the drills as tests.
@@ -574,7 +572,8 @@ type (
 	// ChaosStats counts what a proxy did to the traffic.
 	ChaosStats = chaos.Stats
 	// ReliableSender ships samples as sequenced, CRC'd, acknowledged
-	// envelopes with exactly-once accounting.
+	// binary frames with exactly-once accounting; it is the one way to
+	// send samples to a warehouse over the network.
 	ReliableSender = monitor.ReliableSender
 	// SenderCounters is the sender's reconciliation ledger: Queued ==
 	// Acked + ServerShed + DroppedQueue + Pending at quiescence.

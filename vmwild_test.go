@@ -259,15 +259,17 @@ func TestIntegrationPipeline(t *testing.T) {
 		}
 		// Sample every 10 simulated minutes to keep the test quick
 		// while still exercising sub-hourly aggregation.
-		batch := make([]vmwild.MonitorSample, 0, hours*6)
+		sender := &vmwild.ReliableSender{Addr: addr, AgentID: string(st.ID)}
 		for m := 0; m < hours*60; m += 10 {
 			s, err := src.Collect(epoch.Add(time.Duration(m) * time.Minute))
 			if err != nil {
 				t.Fatal(err)
 			}
-			batch = append(batch, s)
+			sender.Queue(s)
 		}
-		if err := vmwild.SendMonitorBatch(ctx, addr, batch); err != nil {
+		err = sender.Flush(ctx, 3)
+		sender.Close()
+		if err != nil {
 			t.Fatal(err)
 		}
 	}
