@@ -52,8 +52,6 @@ func run() error {
 		maxConns     = flag.Int("max-conns", 0, "max concurrent agent connections; excess waits in the accept backlog (0 = unbounded)")
 		qryMaxConns  = flag.Int("query-max-conns", 0, "max concurrent query connections (0 = unbounded)")
 		queryWorkers = flag.Int("query-workers", 0, "pipelined query worker pool size (0 = default 8)")
-		replicaEvery = flag.Int("replica-every", vmwild.DefaultReplicaEverySamples, "republish a shard's read replica after this many new samples (0 = disable replicas)")
-		replicaAge   = flag.Duration("replica-max-age", vmwild.DefaultReplicaMaxAge, "republish a stale shard replica after this age regardless of sample count")
 		ingestRate   = flag.Float64("ingest-rate", 0, "token-bucket ingest refill in samples/sec; requires -ingest-burst")
 		ingestBurst  = flag.Int("ingest-burst", 0, "token-bucket ingest burst in samples; 0 disables the limiter")
 		faultProfile = flag.String("disk-fault-profile", "", "inject seeded filesystem faults on the durable paths: off, flaky, corrupt or enospc:<bytes> (testing only, never production)")
@@ -94,8 +92,6 @@ func run() error {
 		maxConns:     *maxConns,
 		qryMaxConns:  *qryMaxConns,
 		queryWorkers: *queryWorkers,
-		replicaEvery: *replicaEvery,
-		replicaAge:   *replicaAge,
 		ingestRate:   *ingestRate,
 		ingestBurst:  *ingestBurst,
 		faultProfile: *faultProfile,
@@ -118,8 +114,6 @@ type serveConfig struct {
 	maxConns            int
 	qryMaxConns         int
 	queryWorkers        int
-	replicaEvery        int
-	replicaAge          time.Duration
 	ingestRate          float64
 	ingestBurst         int
 	faultProfile        string
@@ -234,18 +228,6 @@ func serve(cfg serveConfig) error {
 		detail["walRestored"] = rec.Restored
 		detail["walReplayed"] = rec.Replayed
 		detail["walTornBytes"] = rec.TornBytes
-	}
-
-	// Replicas come up after recovery so the first publish snapshots the
-	// restored history; the background cadence loop keeps them fresh from
-	// here on. -replica-every 0 opts out (every read takes shard locks).
-	if cfg.replicaEvery > 0 {
-		if err := warehouse.EnableReplicas(vmwild.ReplicaConfig{
-			EverySamples: cfg.replicaEvery,
-			MaxAge:       cfg.replicaAge,
-		}); err != nil {
-			return fmt.Errorf("enable replicas: %w", err)
-		}
 	}
 
 	addr, err := warehouse.Listen(cfg.listen)

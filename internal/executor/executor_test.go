@@ -318,7 +318,19 @@ func TestQuickScheduleReachesTarget(t *testing.T) {
 			vm := trace.ServerID(fmt.Sprintf("vm%02d", i))
 			demand := sizing.Demand{CPU: float64(s%150) + 1, Mem: float64(s%1500) + 1}
 			srcHost := from.Hosts()[int(s)%6].ID
-			dstHost := to.Hosts()[int(s/7)%6].ID
+			// Assign does not check capacity, so the target takes the
+			// first host from s/7 on with room: a target placement that
+			// overloads a host is infeasible and no schedule reaches it.
+			dstHost := ""
+			for k := 0; k < 6; k++ {
+				if h := to.Hosts()[(int(s/7)+k)%6].ID; to.Fits(h, demand) {
+					dstHost = h
+					break
+				}
+			}
+			if dstHost == "" {
+				return true
+			}
 			if err := from.Assign(placement.Item{ID: vm, Demand: demand}, srcHost); err != nil {
 				return false
 			}
@@ -330,8 +342,8 @@ func TestQuickScheduleReachesTarget(t *testing.T) {
 		cfg.SpareHost = true
 		plan, moves, err := ScheduleTransition(from, to, cfg)
 		if err != nil {
-			// Loads here always fit (max 24 * 1500 MB < 6 * 10000):
-			// scheduling must succeed with a spare host.
+			// The target fits every host: scheduling must succeed
+			// with a spare host.
 			return false
 		}
 		// Replay the waves and compare the final assignment to target.

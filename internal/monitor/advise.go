@@ -16,8 +16,7 @@ import (
 // shipping a 30-day trace set to a planner process, a client asks the
 // server to run the Section 8 advisor (workload attributes -> consolidation
 // mode) plus the recommended planner's sizing-and-placement pass, and gets
-// back the headline numbers. The analysis runs over the replica layer when
-// enabled, so a long advise never blocks ingest on a shard lock.
+// back the headline numbers.
 
 // AdviseRequest parameterizes a server-side consolidation recommendation.
 type AdviseRequest struct {
@@ -32,8 +31,6 @@ type AdviseRequest struct {
 	// Host names the catalog target model (default the reference blade,
 	// hs23-elite).
 	Host string
-	// Consistent forces the live shards even when replicas are enabled.
-	Consistent bool
 }
 
 // Advice is the advise operation's result.
@@ -58,7 +55,7 @@ type Advice struct {
 }
 
 // Advise runs the advisor and the recommended planner over the warehouse's
-// current (replica) view.
+// current data.
 func (w *Warehouse) Advise(req AdviseRequest) (*Advice, error) {
 	if req.Spec.CPURPE2 <= 0 {
 		return nil, errNoCPURating
@@ -115,31 +112,15 @@ func (w *Warehouse) Advise(req AdviseRequest) (*Advice, error) {
 	return adv, nil
 }
 
-// adviseSet assembles the analysis trace set from the replica layer (or
-// the live shards under Consistent / when replicas are off).
+// adviseSet assembles the analysis trace set from the live shards.
 func (w *Warehouse) adviseSet(req AdviseRequest) (*trace.Set, error) {
-	rep := w.replicas.Load()
-	useRep := rep != nil && !req.Consistent
-	var ids []trace.ServerID
-	if useRep {
-		ids = rep.serverIDs()
-	} else {
-		ids = w.Servers()
-	}
+	ids := w.Servers()
 	if len(ids) == 0 {
 		return nil, errors.New("monitor: advise: no monitored servers")
 	}
 	set := &trace.Set{Name: "advise"}
 	for _, id := range ids {
-		var (
-			series *trace.Series
-			err    error
-		)
-		if useRep {
-			series, err = rep.hourlySeries(id, req.Spec, req.Epoch, req.WindowHours)
-		} else {
-			series, err = w.HourlySeriesWindow(id, req.Spec, req.Epoch, req.WindowHours)
-		}
+		series, err := w.HourlySeriesWindow(id, req.Spec, req.Epoch, req.WindowHours)
 		if err != nil {
 			return nil, err
 		}

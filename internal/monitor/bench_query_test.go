@@ -5,8 +5,6 @@ import (
 	"bytes"
 	"context"
 	"fmt"
-	"math"
-	"math/rand"
 	"net"
 	"runtime"
 	"strconv"
@@ -20,15 +18,11 @@ import (
 
 // The query-plane benchmarks behind BENCH_query.json: concurrent query
 // throughput through the pipelined protocol (8 clients, 1 vs 16 requests
-// in flight per connection), the client-visible fleet pull, Gorilla decode
-// cost per sample, and the replica layer's compression ratio on realistic
-// trace data.
+// in flight per connection) and the client-visible fleet pull.
 
 // benchQueryWarehouse builds a warehouse holding `servers` servers with a
 // 30-day hourly history — the paper's planning window, so every series
-// query answers 720 hourly samples — plus a running query server. The
-// replica layer comes up when the build includes it (the seed revision
-// compiles this file too, for the before/after numbers).
+// query answers 720 hourly samples — plus a running query server.
 func benchQueryWarehouse(b *testing.B, servers int) string {
 	b.Helper()
 	const hours = 30 * 24
@@ -47,13 +41,10 @@ func benchQueryWarehouse(b *testing.B, servers int) string {
 	return benchServeQueries(b, w)
 }
 
-// benchServeQueries turns the replica layer on (publishing w as it stands)
-// and serves w over the query protocol until the benchmark ends.
+// benchServeQueries serves w over the query protocol until the benchmark
+// ends.
 func benchServeQueries(b *testing.B, w *Warehouse) (addr string) {
 	b.Helper()
-	if err := w.EnableReplicas(ReplicaConfig{NoBackground: true}); err != nil {
-		b.Fatal(err)
-	}
 	qs := NewQueryServer(w)
 	addr, err := qs.Listen("127.0.0.1:0")
 	if err != nil {
@@ -172,8 +163,8 @@ func BenchmarkQueryThroughput(b *testing.B) {
 // by construction sees neither the encode nor the client; this is the
 // layer number that reconciles with fetch_set_ms_p50 on the closed-loop
 // benchmark's query-fleet workload. Every iteration starts on a fresh
-// replica generation (one more sample per server, republished, off the
-// clock), as every controller interval does. Uses only the public client,
+// shard generation (one more sample per server, off the clock), as every
+// controller interval does. Uses only the public client,
 // so the same file times the revision before the packed payload.
 func BenchmarkFetchSet(b *testing.B) {
 	const (
@@ -213,8 +204,7 @@ func BenchmarkFetchSet(b *testing.B) {
 		for s := range ids {
 			w.Ingest(sample(s, hours*perHour+n))
 		}
-		w.PublishReplicas()
-		// The store is ~1 GB of heap; a collection the republish set off
+		// The store is ~1 GB of heap; a collection the ingest set off
 		// would otherwise bill its mark assists to the pull.
 		runtime.GC()
 		b.StartTimer()
@@ -225,96 +215,5 @@ func BenchmarkFetchSet(b *testing.B) {
 		if got := set.Servers[servers-1].Series.Len(); len(set.Servers) != servers || got < hours {
 			b.Fatalf("fetched %d servers, last series %d hours", len(set.Servers), got)
 		}
-	}
-}
-
-// BenchmarkGorillaDecode measures the replica read tax: decoding one
-// 512-sample compressed block back into columns, reported per sample.
-func BenchmarkGorillaDecode(b *testing.B) {
-	const n = 512
-	nanos := make([]int64, n)
-	cpu := make([]float64, n)
-	mem := make([]float64, n)
-	rng := rand.New(rand.NewSource(20141208))
-	for i := range nanos {
-		nanos[i] = benchEpoch.UnixNano() + int64(i)*int64(time.Minute) + rng.Int63n(int64(time.Second))
-		cpu[i] = 20 + 15*math.Sin(float64(i)/60) + rng.Float64()*4
-		mem[i] = 4096 + float64(rng.Intn(64))
-	}
-	chunk, err := trace.CompressChunk(nanos, cpu, mem)
-	if err != nil {
-		b.Fatal(err)
-	}
-	outN := make([]int64, 0, n)
-	outC := make([]float64, 0, n)
-	outM := make([]float64, 0, n)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		outN, outC, outM, err = chunk.AppendTo(outN[:0], outC[:0], outM[:0])
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/sample")
-}
-
-// BenchmarkReplicaCompression publishes a week of realistic jittered
-// diurnal samples and reports the replica layer's hot-column compression:
-// raw bytes per compressed byte (higher is better) and compressed bytes
-// per sample.
-func BenchmarkReplicaCompression(b *testing.B) {
-	w := NewWarehouse(0)
-	defer w.Close()
-	src, err := NewTraceSource(seededServerTrace(b), benchEpoch, 20141208)
-	if err != nil {
-		b.Fatal(err)
-	}
-	const minutes = 7*24*60 - 60 // stay inside the trace horizon
-	for m := 0; m < minutes; m++ {
-		s, err := src.Collect(benchEpoch.Add(time.Duration(m) * time.Minute))
-		if err != nil {
-			b.Fatal(err)
-		}
-		w.Ingest(s)
-	}
-	if err := w.EnableReplicas(ReplicaConfig{NoBackground: true}); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		w.PublishReplicas()
-		w.Ingest(Sample{
-			Server:            "trace-0",
-			Timestamp:         benchEpoch.Add(time.Duration(minutes+i) * time.Minute),
-			TotalProcessorPct: 10,
-			MemCommittedMB:    1024,
-		})
-	}
-	b.StopTimer()
-	m := w.Metrics().Replica
-	if m.CompressedBytes == 0 {
-		b.Fatal("no compressed bytes published")
-	}
-	b.ReportMetric(float64(m.RawBytes)/float64(m.CompressedBytes), "raw/compressed")
-	b.ReportMetric(float64(m.CompressedBytes)/float64(m.Samples), "bytes/sample")
-}
-
-// seededServerTrace fabricates the hourly profile TraceSource interpolates
-// from: a diurnal CPU curve over a week.
-func seededServerTrace(tb testing.TB) *trace.ServerTrace {
-	tb.Helper()
-	const hours = 7 * 24
-	series := &trace.Series{Step: time.Hour, Samples: make([]trace.Usage, hours)}
-	for h := 0; h < hours; h++ {
-		series.Samples[h] = trace.Usage{
-			CPU: 2000 + 1500*math.Sin(float64(h%24)/24*2*math.Pi),
-			Mem: 48 * 1024,
-		}
-	}
-	return &trace.ServerTrace{
-		ID:     "trace-0",
-		Spec:   trace.Spec{CPURPE2: 11900, MemMB: 131072},
-		Series: series,
 	}
 }

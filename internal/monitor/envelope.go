@@ -2,11 +2,12 @@ package monitor
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"math"
 	"strconv"
 
 	"vmwild/internal/trace"
@@ -169,55 +170,85 @@ type ackResult struct {
 	shed int
 }
 
-// ackCRC covers seq, ok, and shed with separators. Acks carry counts the
-// sender folds straight into its books, so a flipped digit that still
-// parses as JSON must not pass — the CRC turns it into a retryable error.
-func ackCRC(r ackResult) uint32 {
-	c := crc32.Update(0, castagnoli, strconv.AppendUint(nil, r.seq, 10))
-	c = crc32.Update(c, castagnoli, []byte{'|'})
-	c = crc32.Update(c, castagnoli, strconv.AppendInt(nil, int64(r.ok), 10))
-	c = crc32.Update(c, castagnoli, []byte{'|'})
-	return crc32.Update(c, castagnoli, strconv.AppendInt(nil, int64(r.shed), 10))
+// ackCRC covers the decimal digits of seq, ok and shed with separators.
+// Acks carry counts the sender folds straight into its books, so a
+// flipped digit that still parses must not pass — the CRC turns it into a
+// retryable error. It reads the digits where they lie in the line, so
+// neither end formats them twice.
+func ackCRC(seq, ok, shed []byte) uint32 {
+	c := crc32.Update(0, castagnoli, seq)
+	c = crc32.Update(c, castagnoli, ackSep)
+	c = crc32.Update(c, castagnoli, ok)
+	c = crc32.Update(c, castagnoli, ackSep)
+	return crc32.Update(c, castagnoli, shed)
 }
+
+var ackSep = []byte{'|'}
+
+// ackKeys are the literal parts of an ack line in order, each followed by
+// a decimal no larger than its ackMax.
+var (
+	ackKeys = [4]string{`{"ack":`, `,"ok":`, `,"shed":`, `,"crc":`}
+	ackMax  = [4]uint64{math.MaxUint64, math.MaxInt, math.MaxInt, math.MaxUint32}
+)
 
 // appendAck appends one '\n'-terminated ack line.
 func appendAck(dst []byte, r ackResult) []byte {
-	dst = append(dst, `{"ack":`...)
+	dst = append(dst, ackKeys[0]...)
+	a := len(dst)
 	dst = strconv.AppendUint(dst, r.seq, 10)
-	dst = append(dst, `,"ok":`...)
+	b := len(dst)
+	dst = append(dst, ackKeys[1]...)
+	c := len(dst)
 	dst = strconv.AppendInt(dst, int64(r.ok), 10)
-	dst = append(dst, `,"shed":`...)
+	d := len(dst)
+	dst = append(dst, ackKeys[2]...)
+	e := len(dst)
 	dst = strconv.AppendInt(dst, int64(r.shed), 10)
-	dst = append(dst, `,"crc":`...)
-	dst = strconv.AppendUint(dst, uint64(ackCRC(r)), 10)
+	crc := ackCRC(dst[a:b], dst[c:d], dst[e:])
+	dst = append(dst, ackKeys[3]...)
+	dst = strconv.AppendUint(dst, uint64(crc), 10)
 	return append(dst, '}', '\n')
 }
 
-type ackWire struct {
-	Ack  *uint64 `json:"ack"`
-	OK   int     `json:"ok"`
-	Shed int     `json:"shed"`
-	CRC  *uint32 `json:"crc"`
-}
+var (
+	errAckMalformed = errors.New("monitor: malformed ack")
+	errAckNegative  = errors.New("monitor: negative ack counts")
+)
 
-// decodeAck parses and CRC-checks one ack line.
+// decodeAck parses and CRC-checks one ack line (without its newline). It
+// accepts exactly the lines appendAck writes: the four fields in order,
+// each a canonical decimal (no sign, no leading zero, no overflow), and
+// nothing else — so a decoded ack re-encodes to the line byte for byte.
 func decodeAck(line []byte) (ackResult, error) {
-	var a ackWire
-	if err := json.Unmarshal(line, &a); err != nil {
-		return ackResult{}, fmt.Errorf("monitor: malformed ack: %w", err)
+	var v [4]uint64
+	var digits [4][]byte
+	for i, key := range ackKeys {
+		rest, ok := bytes.CutPrefix(line, []byte(key))
+		if !ok {
+			return ackResult{}, errAckMalformed
+		}
+		if len(rest) > 0 && rest[0] == '-' {
+			return ackResult{}, errAckNegative
+		}
+		n := 0
+		for ; n < len(rest) && rest[n] >= '0' && rest[n] <= '9'; n++ {
+			d := uint64(rest[n] - '0')
+			if v[i] > (ackMax[i]-d)/10 {
+				return ackResult{}, errAckMalformed
+			}
+			v[i] = v[i]*10 + d
+		}
+		if n == 0 || (n > 1 && rest[0] == '0') {
+			return ackResult{}, errAckMalformed
+		}
+		digits[i], line = rest[:n], rest[n:]
 	}
-	if a.Ack == nil {
-		return ackResult{}, errors.New("monitor: ack missing sequence")
+	if len(line) != 1 || line[0] != '}' {
+		return ackResult{}, errAckMalformed
 	}
-	if a.CRC == nil {
-		return ackResult{}, errors.New("monitor: ack missing crc")
+	if got := ackCRC(digits[0], digits[1], digits[2]); got != uint32(v[3]) {
+		return ackResult{}, fmt.Errorf("monitor: ack crc mismatch: frame says %d, bytes say %d", v[3], got)
 	}
-	if a.OK < 0 || a.Shed < 0 {
-		return ackResult{}, errors.New("monitor: negative ack counts")
-	}
-	r := ackResult{seq: *a.Ack, ok: a.OK, shed: a.Shed}
-	if got := ackCRC(r); got != *a.CRC {
-		return ackResult{}, fmt.Errorf("monitor: ack crc mismatch: frame says %d, bytes say %d", *a.CRC, got)
-	}
-	return r, nil
+	return ackResult{seq: v[0], ok: int(v[1]), shed: int(v[2])}, nil
 }

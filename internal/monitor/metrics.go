@@ -95,8 +95,7 @@ type Metrics struct {
 
 	Shards []ShardMetrics `json:"shards"`
 
-	// Replica carries the snapshot replica layer's counters when the
-	// layer is enabled (nil otherwise).
+	// Deprecated: there is no replica layer; Replica is always nil.
 	Replica *ReplicaMetrics `json:"replica,omitempty"`
 }
 
@@ -128,7 +127,6 @@ func (w *Warehouse) Metrics() Metrics {
 		}
 		sh.mu.Unlock()
 	}
-	m.Replica = w.replicaMetrics()
 	return m
 }
 
@@ -148,7 +146,7 @@ type QueryMetrics struct {
 	Workers        int   `json:"workers"`
 	PooledRequests int64 `json:"pooledRequests"`
 	// FastPathHits counts pipelined series requests answered inline from
-	// the replica response cache, never entering the worker pool.
+	// the shards' series memo, never entering the worker pool.
 	FastPathHits int64 `json:"fastPathHits"`
 	// PipelineDepth is the pooled requests queued or computing right now;
 	// MaxPipelineDepth the high-water mark since start.

@@ -5,7 +5,9 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"math"
 	"net"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -174,6 +176,62 @@ func TestAckRoundTrip(t *testing.T) {
 		if got, err := decodeAck(mutated); err == nil && got != (ackResult{seq: 7, ok: 120, shed: 3}) {
 			t.Fatalf("ack flip at byte %d went undetected: %s -> %+v", i, mutated, got)
 		}
+	}
+}
+
+// TestDecodeAckStrict: the ack decoder refuses every line appendAck would
+// not write — a missing or negative field, a bad crc, another key order,
+// padding, a sign, a leading zero, an overflow — and every single-byte
+// mutation of a valid ack is refused or decodes to an ack whose line is
+// exactly the mutated one. Decoding allocates nothing.
+func TestDecodeAckStrict(t *testing.T) {
+	valid := []ackResult{{}, {seq: 7, ok: 120, shed: 3}, {seq: math.MaxUint64, ok: 512, shed: 0}, {seq: 1, ok: 0, shed: 512}}
+	ack := func(r ackResult) string { return strings.TrimSuffix(string(appendAck(nil, r)), "\n") }
+	good := ack(valid[1])
+	crc := good[strings.LastIndex(good, ":")+1 : len(good)-1]
+	for _, tc := range []struct{ name, line string }{
+		{"empty", ``},
+		{"missing seq", `{"ok":120,"shed":3,"crc":` + crc + `}`},
+		{"missing crc", `{"ack":7,"ok":120,"shed":3}`},
+		{"missing ok", `{"ack":7,"shed":3,"crc":` + crc + `}`},
+		{"negative ok", `{"ack":7,"ok":-120,"shed":3,"crc":` + crc + `}`},
+		{"negative shed", `{"ack":7,"ok":120,"shed":-3,"crc":` + crc + `}`},
+		{"crc mismatch", `{"ack":7,"ok":121,"shed":3,"crc":` + crc + `}`},
+		{"crc over 32 bits", `{"ack":7,"ok":120,"shed":3,"crc":4294967296}`},
+		{"seq overflow", `{"ack":18446744073709551616,"ok":120,"shed":3,"crc":` + crc + `}`},
+		{"leading zero", `{"ack":07,"ok":120,"shed":3,"crc":` + crc + `}`},
+		{"plus sign", `{"ack":+7,"ok":120,"shed":3,"crc":` + crc + `}`},
+		{"space", `{"ack": 7,"ok":120,"shed":3,"crc":` + crc + `}`},
+		{"key order", `{"ok":120,"ack":7,"shed":3,"crc":` + crc + `}`},
+		{"extra key", `{"ack":7,"ok":120,"shed":3,"crc":` + crc + `,"x":1}`},
+		{"trailing byte", good + ` `},
+		{"no brace", strings.TrimSuffix(good, "}")},
+		{"fraction", `{"ack":7.0,"ok":120,"shed":3,"crc":` + crc + `}`},
+	} {
+		if r, err := decodeAck([]byte(tc.line)); err == nil {
+			t.Errorf("%s: %q accepted as %+v", tc.name, tc.line, r)
+		}
+	}
+	for _, r := range valid {
+		line := []byte(ack(r))
+		if got, err := decodeAck(line); err != nil || got != r {
+			t.Fatalf("%s: decoded %+v, %v; want %+v", line, got, err, r)
+		}
+		for i := range line {
+			for b := 0; b < 256; b++ {
+				mutated := bytes.Clone(line)
+				if mutated[i] = byte(b); bytes.Equal(mutated, line) {
+					continue
+				}
+				if got, err := decodeAck(mutated); err == nil && ack(got) != string(mutated) {
+					t.Fatalf("%q decoded to %+v, which encodes as %q", mutated, got, ack(got))
+				}
+			}
+		}
+	}
+	line := []byte(good)
+	if allocs := testing.AllocsPerRun(100, func() { decodeAck(line) }); allocs != 0 {
+		t.Fatalf("decodeAck allocates %v times per call, want 0", allocs)
 	}
 }
 

@@ -48,15 +48,15 @@ import (
 // unchanged. The two styles can share a connection, but an id-less request
 // only orders against other id-less ones.
 //
-// Reads are served from the snapshot replica layer when the warehouse has
-// one (bounded staleness, lock-free, bit-identical math); a request with
-// "consistent":true always hits the live shards.
+// Every read is served from the live shards, so an answer reflects every
+// sample acked before the request arrived. Series answers are memoized per
+// shard generation (Warehouse.seriesJSON): a repeat question on an
+// unchanged shard is a map lookup.
 //
 // A series travels as bits, not decimal text: "usage" is one base64 string
 // (standard alphabet, padded) over 16 bytes per hour — the hourly mean's CPU
 // then Mem float64, each little-endian IEEE 754 — oldest hour first. The
-// layer's contract is already exactness (a replica answer is bit-identical
-// to the live one), so the wire carries the bits: -0, subnormals, NaN
+// wire carries the bits the warehouse computed: -0, subnormals, NaN
 // payloads and infinities arrive as they were computed, and neither end
 // formats or parses a float. A series response is always exactly
 //
@@ -79,15 +79,12 @@ import (
 type queryRequest struct {
 	// ID, when positive, opts this request into pipelined handling: the
 	// response may come out of order and echoes the same id.
-	ID uint64 `json:"id,omitempty"`
-	Op string `json:"op"`
-	// Consistent routes the read to the live shards instead of the
-	// replica layer — exactness over the last few seconds of ingest.
-	Consistent bool           `json:"consistent,omitempty"`
-	Server     trace.ServerID `json:"server,omitempty"`
-	CPURPE2    float64        `json:"cpuRPE2,omitempty"`
-	MemMB      float64        `json:"memMB,omitempty"`
-	Epoch      time.Time      `json:"epoch,omitempty"`
+	ID      uint64         `json:"id,omitempty"`
+	Op      string         `json:"op"`
+	Server  trace.ServerID `json:"server,omitempty"`
+	CPURPE2 float64        `json:"cpuRPE2,omitempty"`
+	MemMB   float64        `json:"memMB,omitempty"`
+	Epoch   time.Time      `json:"epoch,omitempty"`
 	// LastHours restricts a series to its trailing window (0 = all).
 	LastHours int `json:"lastHours,omitempty"`
 	// From/To bound a range read in UnixNano, half-open [from, to).
@@ -118,8 +115,8 @@ type queryResponse struct {
 	Bytes int `json:"bytes,omitempty"`
 
 	// body, when set server-side, is the pre-marshaled response line after
-	// its opening brace (every series answer; memoized on the snapshot for a
-	// replica one); the writer splices the id in front instead of marshaling
+	// its opening brace (every series answer, memoized per shard
+	// generation); the writer splices the id in front instead of marshaling
 	// the struct. Never serialized itself.
 	body []byte
 	// raw, when set server-side, is the set body written after the line.
@@ -145,8 +142,7 @@ const (
 )
 
 // appendUsage appends the wire form of samples — base64 over their
-// little-endian float64 pairs — to dst. It is the one series encoder: live
-// and replica answers both come from it.
+// little-endian float64 pairs — to dst. It is the one series encoder.
 func appendUsage(dst []byte, samples []trace.Usage) []byte {
 	dst = slices.Grow(dst, base64.StdEncoding.EncodedLen(len(samples)*usageWireBytes))
 	var raw [usageBlockBytes]byte
@@ -380,7 +376,7 @@ type QueryServer struct {
 	slowClients atomic.Int64
 
 	pooled      atomic.Int64 // requests served through the worker pool
-	fastPath    atomic.Int64 // pipelined requests answered inline from the replica response cache
+	fastPath    atomic.Int64 // pipelined requests answered inline from the series memo
 	inflight    atomic.Int64 // pooled requests currently queued or computing
 	maxDepth    atomic.Int64 // high-water inflight
 	queueWaitNs atomic.Int64 // cumulative enqueue-to-dequeue wait
@@ -599,6 +595,7 @@ func (qs *QueryServer) worker() {
 			resp := qs.handle(work.req)
 			resp.ID = work.req.ID
 			work.qc.writeResp(resp)
+			resp.release()
 			qs.inflight.Add(-1)
 		}
 	}
@@ -685,29 +682,29 @@ func (qs *QueryServer) serveConn(conn net.Conn) {
 		if req.ID == 0 {
 			// Lockstep path: compute and answer inline, in order.
 			resp := qs.handle(req)
-			if !qc.writeResp(resp) {
+			ok := qc.writeResp(resp)
+			resp.release()
+			if !ok {
 				return
 			}
 			goto answered
 		}
-		// Fast path: a series question the replica layer has already
-		// answered on the current snapshot generation is a map lookup —
-		// answer it from the reader goroutine rather than paying two
-		// channel handoffs to have a worker do the same lookup.
-		if req.Op == "series" && req.Server != "" && !req.Consistent {
-			if rep := qs.warehouse.replicas.Load(); rep != nil {
-				spec := trace.Spec{CPURPE2: req.CPURPE2, MemMB: req.MemMB}
-				if body, err, ok := rep.seriesJSONPeek(req.Server, spec, req.Epoch, req.LastHours); ok {
-					qs.fastPath.Add(1)
-					resp := queryResponse{ID: req.ID, OK: true, body: body}
-					if err != nil {
-						resp = queryResponse{ID: req.ID, Error: err.Error()}
-					}
-					if !qc.writeResp(resp) {
-						return
-					}
-					goto answered
+		// Fast path: a series question its shard has already answered at
+		// the current generation is a map lookup — answer it from the
+		// reader goroutine rather than paying two channel handoffs to have
+		// a worker do the same lookup.
+		if req.Op == "series" && req.Server != "" {
+			spec := trace.Spec{CPURPE2: req.CPURPE2, MemMB: req.MemMB}
+			if c, ok := qs.warehouse.seriesJSONPeek(req.Server, spec, req.Epoch, req.LastHours); ok {
+				qs.fastPath.Add(1)
+				resp := queryResponse{ID: req.ID, OK: true, body: c.body}
+				if c.err != nil {
+					resp = queryResponse{ID: req.ID, Error: c.err.Error()}
 				}
+				if !qc.writeResp(resp) {
+					return
+				}
+				goto answered
 			}
 		}
 		// Pipelined path: hand off to the pool and keep reading. The
@@ -769,55 +766,26 @@ func readQueryLine(rd *bufio.Reader, scratch *[]byte, maxLine int) ([]byte, erro
 
 func (qs *QueryServer) handle(req queryRequest) queryResponse {
 	w := qs.warehouse
-	rep := w.replicas.Load()
-	useRep := rep != nil && !req.Consistent
 	switch req.Op {
 	case "servers":
-		if useRep {
-			return queryResponse{OK: true, Servers: slices.Clone(rep.serverIDs())}
-		}
 		return queryResponse{OK: true, Servers: w.Servers()}
 	case "stats":
-		var s Stat
-		if useRep {
-			s = rep.stats()
-		} else {
-			s = w.Stats()
-		}
+		s := w.Stats()
 		return queryResponse{OK: true, Stats: &s}
 	case "series":
 		if req.Server == "" {
 			return queryResponse{Error: "series: missing server"}
 		}
-		spec := trace.Spec{CPURPE2: req.CPURPE2, MemMB: req.MemMB}
-		if useRep {
-			// Replica answers are memoized on the immutable snapshot
-			// generation, so repeated questions (every planner pulls the same
-			// fleet each interval) skip the aggregation and the encode.
-			body, err := rep.seriesJSON(req.Server, spec, req.Epoch, req.LastHours)
-			if err != nil {
-				return queryResponse{Error: err.Error()}
-			}
-			return queryResponse{OK: true, body: body}
-		}
-		series, err := w.HourlySeriesWindow(req.Server, spec, req.Epoch, req.LastHours)
+		body, err := w.seriesJSON(req.Server, trace.Spec{CPURPE2: req.CPURPE2, MemMB: req.MemMB}, req.Epoch, req.LastHours)
 		if err != nil {
 			return queryResponse{Error: err.Error()}
 		}
-		return queryResponse{OK: true, body: seriesBody(series.Samples)}
+		return queryResponse{OK: true, body: body}
 	case "range":
 		if req.Server == "" {
 			return queryResponse{Error: "range: missing server"}
 		}
-		var (
-			points []RangePoint
-			err    error
-		)
-		if useRep {
-			points, err = rep.rangeRead(req.Server, req.From, req.To)
-		} else {
-			points, err = w.Range(req.Server, req.From, req.To)
-		}
+		points, err := w.Range(req.Server, req.From, req.To)
 		if err != nil {
 			return queryResponse{Error: err.Error()}
 		}
@@ -828,17 +796,13 @@ func (qs *QueryServer) handle(req queryRequest) queryResponse {
 			Epoch:       req.Epoch,
 			WindowHours: req.WindowHours,
 			Host:        req.Host,
-			Consistent:  req.Consistent,
 		})
 		if err != nil {
 			return queryResponse{Error: err.Error()}
 		}
 		return queryResponse{OK: true, Advice: advice}
 	case "set":
-		if !useRep {
-			rep = nil
-		}
-		body, err := qs.setBody(req, rep)
+		body, err := qs.setBody(req)
 		if err != nil {
 			return queryResponse{Error: err.Error()}
 		}
@@ -848,36 +812,47 @@ func (qs *QueryServer) handle(req queryRequest) queryResponse {
 	}
 }
 
-// setBody answers a set request off rep, or off the live shards when rep
-// is nil. Each server's hours pass through one pooled slice on their way
-// into the body; no per-server series outlives its entry.
-func (qs *QueryServer) setBody(req queryRequest, rep *replicaSet) ([]byte, error) {
-	hours, servers := qs.warehouse.hours, qs.warehouse.Servers
-	if rep != nil {
-		hours, servers = rep.hours, rep.serverIDs
-	}
+// setBody answers a set request. Each server's hours pass through one
+// pooled slice on their way into the body; no per-server series outlives
+// its entry.
+func (qs *QueryServer) setBody(req queryRequest) ([]byte, error) {
 	scratch := usageScratchPool.Get().(*[]trace.Usage)
 	defer usageScratchPool.Put(scratch)
 	var body []byte
-	ids := servers()
+	if b, ok := setBodyPool.Get().(*[]byte); ok {
+		body = *b
+	}
+	ids := qs.warehouse.Servers()
 	for _, id := range ids {
 		cpu, ok := req.Specs[id]
 		if !ok {
 			return nil, fmt.Errorf("monitor: no spec for server %s", id)
 		}
 		var err error
-		if *scratch, err = hours(*scratch, id, trace.Spec{CPURPE2: cpu}, req.Epoch); err != nil {
+		if *scratch, err = qs.warehouse.hours(*scratch, id, trace.Spec{CPURPE2: cpu}, req.Epoch, 0); err != nil {
 			return nil, err
 		}
-		if body == nil {
+		if len(body) == 0 {
 			// A fleet's series run to about one length: size from the first.
-			body = make([]byte, 0, len(ids)*(len(id)+len(*scratch)*usageWireBytes+2*binary.MaxVarintLen32))
+			body = slices.Grow(body, len(ids)*(len(id)+len(*scratch)*usageWireBytes+2*binary.MaxVarintLen32))
 		}
 		if body = appendSetEntry(body, id, *scratch); len(body) > maxResponseBytes {
 			return nil, fmt.Errorf("monitor: set body exceeds %d bytes", maxResponseBytes)
 		}
 	}
 	return body, nil
+}
+
+// setBodyPool recycles set bodies once written: a fleet's is ~9 MB, and a
+// fresh one per pull is that much zeroed memory and collector work.
+var setBodyPool sync.Pool
+
+// release hands a written set body back to setBodyPool.
+func (resp queryResponse) release() {
+	if resp.raw != nil {
+		b := resp.raw[:0]
+		setBodyPool.Put(&b)
+	}
 }
 
 // Close stops the query listener, severs live client connections and waits
@@ -907,9 +882,6 @@ type QueryClient struct {
 	// hung server cannot stall the control loop indefinitely. A FetchSet is
 	// one exchange, so it bounds the whole fleet pull.
 	Timeout time.Duration
-	// Consistent routes every request from this client to the live
-	// shards, bypassing the replica layer.
-	Consistent bool
 
 	conn net.Conn
 	bw   *bufio.Writer
@@ -1034,7 +1006,6 @@ func (c *QueryClient) roundTrip(req queryRequest) (queryResponse, error) {
 	c.readerOnce.Do(c.startReader)
 	id := c.nextID.Add(1)
 	req.ID = id
-	req.Consistent = req.Consistent || c.Consistent
 	ch := make(chan queryResponse, 1)
 	c.mu.Lock()
 	if c.readErr != nil {
@@ -1138,7 +1109,7 @@ func (c *QueryClient) Range(id trace.ServerID, from, to int64) ([]RangePoint, er
 }
 
 // Advise asks the server for a consolidation recommendation computed over
-// its (replica) data: workload attributes, the recommended mode, and a
+// its data: workload attributes, the recommended mode, and a
 // placement plan's headline numbers.
 func (c *QueryClient) Advise(spec trace.Spec, epoch time.Time, windowHours int) (*Advice, error) {
 	resp, err := c.roundTrip(queryRequest{

@@ -95,9 +95,6 @@ func TestQueryRoundTrip(t *testing.T) {
 
 func TestQueryErrors(t *testing.T) {
 	w := seedWarehouse(t)
-	if err := w.EnableReplicas(ReplicaConfig{NoBackground: true}); err != nil {
-		t.Fatal(err)
-	}
 	addr, _ := startQueryServer(t, w)
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
@@ -115,27 +112,23 @@ func TestQueryErrors(t *testing.T) {
 	if _, err := c.Servers(); err != nil {
 		t.Errorf("connection unusable after error: %v", err)
 	}
-	// FetchSet failures, replica and live alike; each leaves the
-	// connection serving.
+	// FetchSet failures; each leaves the connection serving.
 	spec := trace.Spec{CPURPE2: 1, MemMB: 1}
-	for _, consistent := range []bool{false, true} {
-		c.Consistent = consistent
-		for _, tc := range []struct {
-			name  string
-			specs map[trace.ServerID]trace.Spec
-			epoch time.Time
-			want  string
-		}{
-			{"missing spec", map[trace.ServerID]trace.Spec{"a": spec}, epoch, "no spec for server b"},
-			{"no CPU rating", map[trace.ServerID]trace.Spec{"a": spec, "b": {MemMB: 1}}, epoch, errNoCPURating.Error()},
-			{"epoch after first sample", map[trace.ServerID]trace.Spec{"a": spec, "b": spec}, epoch.Add(time.Hour), errPrecedeEpoch.Error()},
-		} {
-			if _, err := c.FetchSet("dc", tc.specs, tc.epoch); err == nil || !strings.Contains(err.Error(), tc.want) {
-				t.Errorf("consistent=%v, %s: err = %v, want %q", consistent, tc.name, err, tc.want)
-			}
-			if s, err := c.HourlySeries("a", spec, epoch); err != nil || s.Len() != 2 {
-				t.Fatalf("consistent=%v, after %s: series = %v, %v", consistent, tc.name, s, err)
-			}
+	for _, tc := range []struct {
+		name  string
+		specs map[trace.ServerID]trace.Spec
+		epoch time.Time
+		want  string
+	}{
+		{"missing spec", map[trace.ServerID]trace.Spec{"a": spec}, epoch, "no spec for server b"},
+		{"no CPU rating", map[trace.ServerID]trace.Spec{"a": spec, "b": {MemMB: 1}}, epoch, errNoCPURating.Error()},
+		{"epoch after first sample", map[trace.ServerID]trace.Spec{"a": spec, "b": spec}, epoch.Add(time.Hour), errPrecedeEpoch.Error()},
+	} {
+		if _, err := c.FetchSet("dc", tc.specs, tc.epoch); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err = %v, want %q", tc.name, err, tc.want)
+		}
+		if s, err := c.HourlySeries("a", spec, epoch); err != nil || s.Len() != 2 {
+			t.Fatalf("after %s: series = %v, %v", tc.name, s, err)
 		}
 	}
 }

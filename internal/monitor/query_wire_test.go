@@ -135,12 +135,12 @@ func TestSeriesWireCarriesEveryBitPattern(t *testing.T) {
 
 // TestSeriesWireNonFiniteFromWarehouse: NaN and +Inf pass Sample.Validate
 // and so can sit in a warehouse (in-process Ingest); the decimal payload
-// failed such a series with a marshal error. It is carried now, replica and
-// live, and FetchSet equals CollectSet bit for bit — as do the largest and
-// smallest magnitudes an hourly mean can take, a NaN payload and -0 — with
-// an hour-aligned epoch, an unaligned one and timestamps past the
-// hour-indexable range (both through the scan fallback). The replica and
-// live set bodies are the same bytes.
+// failed such a series with a marshal error. It is carried now, and
+// FetchSet equals CollectSet bit for bit — as do the largest and smallest
+// magnitudes an hourly mean can take, a NaN payload and -0 — with an
+// hour-aligned epoch, an unaligned one and timestamps past the
+// hour-indexable range (both through the scan fallback). The set body is
+// the bytes appendSetEntry makes of CollectSet's series.
 func TestSeriesWireNonFiniteFromWarehouse(t *testing.T) {
 	w := NewWarehouse(0)
 	defer w.Close()
@@ -167,11 +167,6 @@ func TestSeriesWireNonFiniteFromWarehouse(t *testing.T) {
 		{"unaligned epoch", w, epoch.Add(-30 * time.Minute)},
 		{"wild timestamps", wild, far},
 	} {
-		if tc.w.replicas.Load() == nil {
-			if err := tc.w.EnableReplicas(ReplicaConfig{NoBackground: true}); err != nil {
-				t.Fatal(err)
-			}
-		}
 		addr, qs := startQueryServer(t, tc.w)
 		live, err := tc.w.CollectSet("dc", specs, tc.epoch)
 		if err != nil {
@@ -180,28 +175,24 @@ func TestSeriesWireNonFiniteFromWarehouse(t *testing.T) {
 		if odd := live.Servers[0].Series.Samples; tc.w == w && (!math.IsNaN(odd[0].Mem) || !math.IsInf(odd[1].Mem, 1) || odd[2].Mem != math.MaxFloat64 || !math.IsNaN(odd[len(mems)].CPU)) {
 			t.Fatalf("%s: the warehouse did not hold the values under test: %v", tc.name, odd)
 		}
-		var bodies [2][]byte
-		for i, consistent := range []bool{false, true} {
-			c := dialQueryT(t, addr)
-			c.Consistent = consistent
-			got, err := c.FetchSet("dc", specs, tc.epoch)
-			if err != nil {
-				t.Fatalf("%s, consistent=%v: %v", tc.name, consistent, err)
-			}
-			for i, st := range live.Servers {
-				if got.Servers[i].ID != st.ID {
-					t.Fatalf("%s, consistent=%v: server %d is %s, want %s", tc.name, consistent, i, got.Servers[i].ID, st.ID)
-				}
-				equalSeries(t, tc.name+" "+string(st.ID), st.Series, got.Servers[i].Series)
-			}
-			req := queryRequest{Op: "set", Epoch: tc.epoch, Consistent: consistent, Specs: map[trace.ServerID]float64{}}
-			for id, spec := range specs {
-				req.Specs[id] = spec.CPURPE2
-			}
-			bodies[i] = qs.handle(req).raw
+		got, err := dialQueryT(t, addr).FetchSet("dc", specs, tc.epoch)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
 		}
-		if len(bodies[0]) == 0 || !bytes.Equal(bodies[0], bodies[1]) {
-			t.Fatalf("%s: replica set body (%d bytes) differs from the live one (%d bytes)", tc.name, len(bodies[0]), len(bodies[1]))
+		var want []byte
+		for i, st := range live.Servers {
+			if got.Servers[i].ID != st.ID {
+				t.Fatalf("%s: server %d is %s, want %s", tc.name, i, got.Servers[i].ID, st.ID)
+			}
+			equalSeries(t, tc.name+" "+string(st.ID), st.Series, got.Servers[i].Series)
+			want = appendSetEntry(want, st.ID, st.Series.Samples)
+		}
+		req := queryRequest{Op: "set", Epoch: tc.epoch, Specs: map[trace.ServerID]float64{}}
+		for id, spec := range specs {
+			req.Specs[id] = spec.CPURPE2
+		}
+		if body := qs.handle(req).raw; len(body) == 0 || !bytes.Equal(body, want) {
+			t.Fatalf("%s: set body (%d bytes) differs from CollectSet's (%d bytes)", tc.name, len(body), len(want))
 		}
 	}
 }
@@ -215,9 +206,6 @@ func TestSeriesWireYearLong(t *testing.T) {
 	for h := 0; h < hours; h++ {
 		w.Ingest(Sample{Server: "y", Timestamp: epoch.Add(time.Duration(h) * time.Hour),
 			TotalProcessorPct: float64(h%101) * 0.93, MemCommittedMB: 1000 + float64(h)/3})
-	}
-	if err := w.EnableReplicas(ReplicaConfig{NoBackground: true}); err != nil {
-		t.Fatal(err)
 	}
 	addr, _ := startQueryServer(t, w)
 	c := dialQueryT(t, addr)

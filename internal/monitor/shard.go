@@ -65,13 +65,9 @@ type serverStore struct {
 
 	firstH  int64
 	buckets []hourAgg
-
-	// rewrites counts the operations that disturb the column prefix — an
-	// out-of-order insert or an eviction shift. The replica publisher
-	// reuses its previously sealed compressed chunks only while this is
-	// unchanged; a pure in-order append never bumps it, so steady ingest
-	// republishes in O(new samples).
-	rewrites uint64
+	// dirtyBuckets counts the dirty buckets, so a read settles them
+	// without walking past the last one: an eviction's is the first.
+	dirtyBuckets int
 }
 
 // hourOf is the absolute hour bucket of a Unix-nanosecond instant (floor
@@ -259,14 +255,11 @@ func (st *serverStore) addTime(t time.Time, s Sample, retention time.Duration) i
 // buckets; reads scan from here on.
 func (st *serverStore) toIrregular() {
 	st.ts = st.times()
-	st.ns, st.offs, st.buckets, st.irregular = nil, nil, nil, true
+	st.ns, st.offs, st.buckets, st.dirtyBuckets, st.irregular = nil, nil, nil, 0, true
 }
 
 // insertRow inserts s's metrics at row pos, before the time column grows.
 func (st *serverStore) insertRow(pos int, s Sample) {
-	if pos < len(st.cpu) {
-		st.rewrites++
-	}
 	st.cpu = slices.Insert(st.cpu, pos, s.TotalProcessorPct)
 	st.mem = slices.Insert(st.mem, pos, s.MemCommittedMB)
 	st.rest = slices.Insert(st.rest, pos, restOf(s))
@@ -274,7 +267,6 @@ func (st *serverStore) insertRow(pos int, s Sample) {
 
 // dropRows drops the first k rows of the metric columns.
 func (st *serverStore) dropRows(k int) {
-	st.rewrites++
 	st.cpu = dropFront(st.cpu, k)
 	st.mem = dropFront(st.mem, k)
 	st.rest = dropFront(st.rest, k)
@@ -307,7 +299,7 @@ func (st *serverStore) bucketAdd(h int64, s Sample, late bool) {
 	}
 	b := &st.buckets[i]
 	if late {
-		b.dirty = true
+		st.markDirty(i)
 		return
 	}
 	b.sumPct += s.TotalProcessorPct
@@ -335,25 +327,39 @@ func (st *serverStore) evict(cutoff int64) int {
 		st.offs = dropFront(st.offs, drop)
 	}
 	if st.ns = dropFront(st.ns, drop); len(st.ns) == 0 {
-		st.buckets = nil
+		st.buckets, st.dirtyBuckets = nil, 0
 		return drop
 	}
 	first := hourOf(st.ns[0])
+	for _, b := range st.buckets[:first-st.firstH] {
+		if b.dirty {
+			st.dirtyBuckets--
+		}
+	}
 	st.buckets = dropFront(st.buckets, int(first-st.firstH))
 	st.firstH = first
 	if first == boundary {
-		st.buckets[0].dirty = true
+		st.markDirty(0)
 	}
 	return drop
+}
+
+// markDirty marks bucket i for a recompute at the next read.
+func (st *serverStore) markDirty(i int) {
+	if !st.buckets[i].dirty {
+		st.buckets[i].dirty = true
+		st.dirtyBuckets++
+	}
 }
 
 // denseBuckets settles every dirty bucket of a regular store and returns
 // the buckets, first occupied hour to last.
 func (st *serverStore) denseBuckets() []hourAgg {
-	for i := range st.buckets {
+	for i := 0; st.dirtyBuckets > 0; i++ {
 		if !st.buckets[i].dirty {
 			continue
 		}
+		st.dirtyBuckets--
 		start := (st.firstH + int64(i)) * hourNanos
 		lo := sort.Search(len(st.ns), func(j int) bool { return st.ns[j] >= start })
 		hi := sort.Search(len(st.ns), func(j int) bool { return st.ns[j] >= start+hourNanos })
@@ -367,25 +373,35 @@ func (st *serverStore) denseBuckets() []hourAgg {
 	return st.buckets
 }
 
-// hourly aggregates the retained samples for one spec and epoch. A
-// regular store read at an hour-aligned epoch no later than its first
-// sample is answered off its buckets in O(occupied hours); anything else
-// scans. The result reuses dst's storage when it is large enough (nil
-// allocates).
-func (st *serverStore) hourly(dst []trace.Usage, spec trace.Spec, epoch time.Time) ([]trace.Usage, error) {
-	if !st.irregular && bucketEpoch(epoch, st.ns[0]) {
-		return bucketUsage(dst, st.denseBuckets(), spec), nil
+// hourly aggregates the retained samples for one spec and epoch, keeping
+// the trailing lastHours hours (0 keeps everything). A regular store read
+// at an hour-aligned epoch no later than its first sample is answered off
+// its buckets in O(hours kept); anything else scans. The result reuses
+// dst's storage, from its start, when it is large enough (nil allocates).
+func (st *serverStore) hourly(dst []trace.Usage, spec trace.Spec, epoch time.Time, lastHours int) ([]trace.Usage, error) {
+	if !st.irregular && timeIndexable(epoch) && epoch.UnixNano()%hourNanos == 0 && st.ns[0] >= epoch.UnixNano() {
+		return bucketUsage(dst, windowTail(st.denseBuckets(), lastHours), spec), nil
 	}
-	return scanHourly(dst, timeColumn(st.ns, st.ts), st.cpu, st.mem, spec, epoch)
+	out, err := scanHourly(dst, timeColumn(st.ns, st.ts), st.cpu, st.mem, spec, epoch)
+	if err != nil {
+		return nil, err
+	}
+	return out[:copy(out, windowTail(out, lastHours))], nil
 }
 
-// ---- the bucket math live and replica stores share -----------------------
+// windowTail slices the trailing lastHours entries (0 keeps everything).
+func windowTail[E any](s []E, lastHours int) []E {
+	if lastHours > 0 && lastHours < len(s) {
+		return s[len(s)-lastHours:]
+	}
+	return s
+}
 
-// bucketEpoch reports whether the bucket read answers a regular store whose
-// first timestamp is first (Unix nanoseconds): the epoch must be
-// hour-aligned and no later than that sample.
-func bucketEpoch(epoch time.Time, first int64) bool {
-	return timeIndexable(epoch) && epoch.UnixNano()%hourNanos == 0 && first >= epoch.UnixNano()
+// zeroedUsage is n zero samples in dst's storage when it is large enough.
+func zeroedUsage(dst []trace.Usage, n int) []trace.Usage {
+	out := slices.Grow(dst[:0], n)[:n]
+	clear(out)
+	return out
 }
 
 // bucketUsage is the aligned-epoch read: each occupied bucket's sums

@@ -33,12 +33,16 @@ import (
 type refStore struct {
 	retention time.Duration
 	servers   map[trace.ServerID][]Sample
+	// irregular marks the servers whose store has left the dense bucket
+	// layout for good (a wild instant or offset, or a span past
+	// maxDenseHours); their reads always scan.
+	irregular map[trace.ServerID]bool
 	evicted   int
 	dropped   int
 }
 
 func newRefStore(retention time.Duration) *refStore {
-	return &refStore{retention: retention, servers: make(map[trace.ServerID][]Sample)}
+	return &refStore{retention: retention, servers: make(map[trace.ServerID][]Sample), irregular: make(map[trace.ServerID]bool)}
 }
 
 func (r *refStore) ingest(s Sample) {
@@ -60,6 +64,11 @@ func (r *refStore) ingest(s Sample) {
 		r.evicted += drop
 		list = list[drop:]
 	}
+	_, off := s.Timestamp.Zone()
+	if !timeIndexable(s.Timestamp) || off != int(int32(off)) ||
+		(len(list) > 0 && hourIndex(list[len(list)-1].Timestamp)-hourIndex(list[0].Timestamp) >= maxDenseHours) {
+		r.irregular[s.Server] = true
+	}
 	r.servers[s.Server] = list
 }
 
@@ -74,7 +83,7 @@ func (r *refStore) hourly(id trace.ServerID, spec trace.Spec, epoch time.Time) (
 	if spec.CPURPE2 <= 0 {
 		return nil, errNoCPURating
 	}
-	if timeIndexable(epoch) && epoch.UnixNano()%hourNanos == 0 && !list[0].Timestamp.Before(epoch) {
+	if !r.irregular[id] && timeIndexable(epoch) && epoch.UnixNano()%hourNanos == 0 && !list[0].Timestamp.Before(epoch) {
 		firstH := hourIndex(list[0].Timestamp)
 		lastH := hourIndex(list[len(list)-1].Timestamp)
 		type agg struct {

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"math"
 	"runtime"
 	"testing"
 	"time"
@@ -18,45 +17,14 @@ func hourIndex(t time.Time) int64 { return hourOf(t.UnixNano()) }
 
 var storeSpec = trace.Spec{CPURPE2: 1800, MemMB: 8192}
 
-// liveEqualsReplica republishes and checks that every read of id answers
-// the same from the live store and from the replica: hourly series at
-// each epoch (errors included) bit for bit, and a raw range over all time.
-func liveEqualsReplica(t *testing.T, w *Warehouse, id trace.ServerID, epochs ...time.Time) {
-	t.Helper()
-	w.PublishReplicas()
-	for _, ep := range epochs {
-		ctx := fmt.Sprintf("%s at epoch %v", id, ep)
-		live, liveErr := w.HourlySeries(id, storeSpec, ep)
-		rep, repErr := w.ReplicaHourlySeries(id, storeSpec, ep)
-		if (liveErr == nil) != (repErr == nil) || (liveErr != nil && liveErr.Error() != repErr.Error()) {
-			t.Fatalf("%s: live err %v, replica err %v", ctx, liveErr, repErr)
-		}
-		if liveErr == nil {
-			equalSeries(t, ctx, live, rep)
-		}
-	}
-	live, err := w.Range(id, math.MinInt64, math.MaxInt64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := w.ReplicaRange(id, math.MinInt64, math.MaxInt64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	equalPoints(t, string(id)+" range", live, rep)
-}
-
 // storeOf is id's live store, for layout assertions.
 func storeOf(w *Warehouse, id trace.ServerID) *serverStore {
 	return w.shards[w.shardIndex(id)].servers[id]
 }
 
-func replicaWarehouse(t *testing.T, retention time.Duration) *Warehouse {
+func newTestWarehouse(t *testing.T, retention time.Duration) *Warehouse {
 	t.Helper()
 	w := NewWarehouse(retention)
-	if err := w.EnableReplicas(ReplicaConfig{NoBackground: true}); err != nil {
-		t.Fatal(err)
-	}
 	t.Cleanup(func() { w.Close() })
 	return w
 }
@@ -65,15 +33,17 @@ func replicaWarehouse(t *testing.T, retention time.Duration) *Warehouse {
 // the irregular one: UTC samples, then a +05:30 sample (a second zone
 // offset, which the store keeps regular), then a year-12000 sample
 // (outside the indexable range). After each step the snapshot holds
-// exactly the ingested samples' records, and the live store and the
-// replica answer alike.
+// exactly the ingested samples' records, and every read answers as the
+// reference store does.
 func TestStoreLayoutTransitions(t *testing.T) {
-	w := replicaWarehouse(t, 0)
+	w := newTestWarehouse(t, 0)
+	ref := newRefStore(0)
 	const id = "layout"
 	var want []Sample // ingest order is timestamp order here
 	ingest := func(s Sample) {
 		s.Server, s.MemCommittedMB = id, 1024+s.TotalProcessorPct
 		w.Ingest(s)
+		ref.ingest(s)
 		want = append(want, s)
 	}
 	check := func(step string, irregular bool, epochs ...time.Time) {
@@ -92,7 +62,7 @@ func TestStoreLayoutTransitions(t *testing.T) {
 		if got := storeOf(w, id).irregular; got != irregular {
 			t.Fatalf("%s: irregular = %v, want %v", step, got, irregular)
 		}
-		liveEqualsReplica(t, w, id, epochs...)
+		liveEqualsReference(t, w, ref, id, epochs...)
 	}
 
 	for m := 0; m < 150; m += 7 {
@@ -116,13 +86,13 @@ func TestStoreLayoutTransitions(t *testing.T) {
 }
 
 // TestZoneChangeKeepsStoreRegular: a host crossing daylight saving sends a
-// second zone offset. The store stays regular, keeps its buckets and its
-// compressed replica, and every read, before and after a late sample and
-// an eviction at either offset, matches the reference store bit for bit:
-// the aligned-epoch read, the scan, the snapshot bytes and the replica.
+// second zone offset. The store stays regular and keeps its buckets, and
+// every read, before and after a late sample and an eviction at either
+// offset, matches the reference store bit for bit: the aligned-epoch read,
+// the scan, the memoized response body, the range and the snapshot bytes.
 func TestZoneChangeKeepsStoreRegular(t *testing.T) {
 	const retention = 6 * time.Hour
-	w := replicaWarehouse(t, retention)
+	w := newTestWarehouse(t, retention)
 	ref := newRefStore(retention)
 	const id = "dst"
 	summer := time.FixedZone("BST", 3600)
@@ -158,10 +128,7 @@ func TestZoneChangeKeepsStoreRegular(t *testing.T) {
 			}
 			equalSeries(t, fmt.Sprintf("%s: epoch %v vs reference", step, ep), &trace.Series{Step: time.Hour, Samples: want}, got)
 		}
-		liveEqualsReplica(t, w, id, epochs...)
-		if rs := w.replicas.Load().storeFor(id); rs.raw {
-			t.Fatalf("%s: replica published raw columns", step)
-		}
+		liveEqualsReference(t, w, ref, id, epochs...)
 	}
 
 	for m := 0; m < 4*60; m += 10 {
@@ -197,7 +164,7 @@ func TestZoneChangeKeepsStoreRegular(t *testing.T) {
 
 // TestStoreReadsBackInFixedZone: a regular store keeps zone offsets, not
 // zone names, so a live read returns the sample's offset in an unnamed fixed zone — what
-// the journal and the replicas return — and UTC at offset 0.
+// the journal returns — and UTC at offset 0.
 func TestStoreReadsBackInFixedZone(t *testing.T) {
 	w := NewWarehouse(0)
 	ist := time.FixedZone("IST", 5*3600+30*60)
@@ -213,9 +180,9 @@ func TestStoreReadsBackInFixedZone(t *testing.T) {
 
 // TestLateSamplePrependsBuckets: a late sample older than the store's
 // first hour grows the dense range at the front, and every read still
-// matches the reference store and the replica.
+// matches the reference store.
 func TestLateSamplePrependsBuckets(t *testing.T) {
-	w := replicaWarehouse(t, 0)
+	w := newTestWarehouse(t, 0)
 	ref := newRefStore(0)
 	const id = "late"
 	feed := func(at time.Duration, cpu float64) {
@@ -230,9 +197,9 @@ func TestLateSamplePrependsBuckets(t *testing.T) {
 	feed(5*time.Hour+20*time.Minute, 10) // into a settled bucket
 
 	st := storeOf(w, id)
-	if st.firstH != hourIndex(epoch)+2 || len(st.buckets) != 5 || st.rewrites != 2 {
-		t.Fatalf("buckets [%d, +%d), rewrites %d; want [%d, +5), 2",
-			st.firstH, len(st.buckets), st.rewrites, hourIndex(epoch)+2)
+	if gen := w.shards[w.shardIndex(id)].mutations.Load(); st.firstH != hourIndex(epoch)+2 || len(st.buckets) != 5 || gen != 5 {
+		t.Fatalf("buckets [%d, +%d), generation %d; want [%d, +5), 5",
+			st.firstH, len(st.buckets), gen, hourIndex(epoch)+2)
 	}
 	for _, ep := range []time.Time{epoch, epoch.Add(2 * time.Hour), epoch.Add(7 * time.Minute)} {
 		want, err := ref.hourly(id, storeSpec, ep)
@@ -245,7 +212,7 @@ func TestLateSamplePrependsBuckets(t *testing.T) {
 		}
 		equalSeries(t, fmt.Sprintf("epoch %v vs reference", ep), &trace.Series{Step: time.Hour, Samples: want}, got)
 	}
-	liveEqualsReplica(t, w, id, epoch, epoch.Add(2*time.Hour), epoch.Add(7*time.Minute))
+	liveEqualsReference(t, w, ref, id, epoch, epoch.Add(2*time.Hour), epoch.Add(7*time.Minute))
 }
 
 // TestEvictionLeavesNoEmptyLeadingHours: an eviction whose first survivor
@@ -254,7 +221,7 @@ func TestLateSamplePrependsBuckets(t *testing.T) {
 // store's does.
 func TestEvictionLeavesNoEmptyLeadingHours(t *testing.T) {
 	const retention = 3 * time.Hour
-	w := replicaWarehouse(t, retention)
+	w := newTestWarehouse(t, retention)
 	ref := newRefStore(retention)
 	const id = "evict"
 	for i, at := range []time.Duration{10 * time.Minute, 50 * time.Minute, 3*time.Hour + 20*time.Minute, 4*time.Hour + 30*time.Minute} {
@@ -278,7 +245,7 @@ func TestEvictionLeavesNoEmptyLeadingHours(t *testing.T) {
 		t.Fatal(err)
 	}
 	equalSeries(t, "vs reference", &trace.Series{Step: time.Hour, Samples: want}, got)
-	liveEqualsReplica(t, w, id, epoch, epoch.Add(3*time.Hour), epoch.Add(time.Minute))
+	liveEqualsReference(t, w, ref, id, epoch, epoch.Add(3*time.Hour), epoch.Add(time.Minute))
 }
 
 // TestStoreGapIsNotAMemoryBomb: one sample in 2012 and one in 2200 must not
@@ -288,7 +255,8 @@ func TestEvictionLeavesNoEmptyLeadingHours(t *testing.T) {
 func TestStoreGapIsNotAMemoryBomb(t *testing.T) {
 	for _, retention := range []time.Duration{0, 30 * 24 * time.Hour} {
 		t.Run(fmt.Sprint(retention), func(t *testing.T) {
-			w := replicaWarehouse(t, retention)
+			w := newTestWarehouse(t, retention)
+			ref := newRefStore(retention)
 			const id = "gap"
 			far := time.Date(2200, 1, 1, 0, 30, 0, 0, time.UTC)
 			var before, after runtime.MemStats
@@ -297,6 +265,8 @@ func TestStoreGapIsNotAMemoryBomb(t *testing.T) {
 			w.Ingest(Sample{Server: id, Timestamp: epoch, TotalProcessorPct: 10, MemCommittedMB: 1})
 			w.Ingest(Sample{Server: id, Timestamp: far, TotalProcessorPct: 20, MemCommittedMB: 2})
 			runtime.GC()
+			ref.ingest(Sample{Server: id, Timestamp: epoch, TotalProcessorPct: 10, MemCommittedMB: 1})
+			ref.ingest(Sample{Server: id, Timestamp: far, TotalProcessorPct: 20, MemCommittedMB: 2})
 			runtime.ReadMemStats(&after)
 			if grew := int64(after.HeapAlloc) - int64(before.HeapAlloc); grew > 1<<20 {
 				t.Errorf("live heap grew %d bytes", grew)
@@ -314,33 +284,32 @@ func TestStoreGapIsNotAMemoryBomb(t *testing.T) {
 			if got := storeOf(w, id).irregular; got != wantIrregular {
 				t.Errorf("irregular = %v, want %v", got, wantIrregular)
 			}
-			liveEqualsReplica(t, w, id, epoch, far.Truncate(time.Hour))
+			liveEqualsReference(t, w, ref, id, epoch, far.Truncate(time.Hour))
 		})
 	}
 }
 
 // TestPreEpochSampleFails: a sample before the epoch, even by less than an
-// hour, fails the read on the live and the replica path alike, instead of
+// hour, fails the read in process and over the series memo alike, instead of
 // being averaged into hour 0.
 func TestPreEpochSampleFails(t *testing.T) {
 	for _, early := range []time.Duration{30 * time.Minute, 90 * time.Minute} {
-		w := replicaWarehouse(t, 0)
+		w := newTestWarehouse(t, 0)
 		id := trace.ServerID(fmt.Sprint("early-", early))
 		w.Ingest(Sample{Server: id, Timestamp: epoch.Add(-early), TotalProcessorPct: 90, MemCommittedMB: 1})
 		w.Ingest(Sample{Server: id, Timestamp: epoch.Add(10 * time.Minute), TotalProcessorPct: 10, MemCommittedMB: 1})
-		w.PublishReplicas()
 		if _, err := w.HourlySeries(id, storeSpec, epoch); !errors.Is(err, errPrecedeEpoch) {
 			t.Errorf("%v early: live err %v, want %v", early, err, errPrecedeEpoch)
 		}
-		if _, err := w.ReplicaHourlySeries(id, storeSpec, epoch); !errors.Is(err, errPrecedeEpoch) {
-			t.Errorf("%v early: replica err %v, want %v", early, err, errPrecedeEpoch)
+		if _, err := w.seriesJSON(id, storeSpec, epoch, 0); !errors.Is(err, errPrecedeEpoch) {
+			t.Errorf("%v early: memoized err %v, want %v", early, err, errPrecedeEpoch)
 		}
 	}
 }
 
 // BenchmarkWarehouseResident is the store's footprint at the paper's
 // collection rate, scaled to fit: 50 servers x 30 days x one sample a
-// minute (2.16M samples), ingested in order with replicas published, as
+// minute (2.16M samples), ingested in order, as
 // live heap after a forced GC. It is the micro-benchmark behind the
 // bench harness's monitor.resident_bytes_per_sample.
 func BenchmarkWarehouseResident(b *testing.B) {
@@ -355,9 +324,6 @@ func BenchmarkWarehouseResident(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		base := heap()
 		w := NewWarehouse(0)
-		if err := w.EnableReplicas(ReplicaConfig{NoBackground: true}); err != nil {
-			b.Fatal(err)
-		}
 		ids := make([]trace.ServerID, servers)
 		for s := range ids {
 			ids[s] = trace.ServerID(fmt.Sprintf("res-%02d", s))
@@ -370,11 +336,7 @@ func BenchmarkWarehouseResident(b *testing.B) {
 					TotalProcessorPct: cpu, UserPct: cpu * 0.75, MemCommittedMB: 1024 + float64((m*53+s)%4096)}
 			}
 			w.IngestBatch(batch)
-			if m%(24*60) == 0 {
-				w.PublishReplicas()
-			}
 		}
-		w.PublishReplicas()
 		resident = heap() - base
 		w.Close()
 	}

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net"
 	"slices"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -66,11 +67,11 @@ type shard struct {
 	// shed counts this shard's samples refused by the ingest limiter;
 	// atomic because shedding happens without taking the shard lock.
 	shed atomic.Int64
-	// mutations counts every insert into this shard (bumped under mu,
-	// read without it). The replica publisher compares it against the
-	// generation it last published to decide staleness — the lag unit is
-	// samples.
+	// mutations counts every insert into this shard, evictions and late
+	// samples included (bumped under mu, read without it): the shard's
+	// generation, which keys memo.
 	mutations atomic.Uint64
+	memo      seriesMemo
 	// idGen/idCache memoize this shard's sorted server IDs: idGen bumps
 	// when a server first appears, and Servers() merges the per-shard
 	// caches instead of rescanning unchanged shards.
@@ -189,10 +190,6 @@ type Warehouse struct {
 
 	serverGen  atomic.Uint64 // bumped after a new server's map insert
 	serverList atomic.Pointer[serverCache]
-
-	// replicas, once enabled, is the read-only snapshot layer queries are
-	// served from without touching shard locks.
-	replicas atomic.Pointer[replicaSet]
 
 	connMu   sync.Mutex
 	conns    map[net.Conn]struct{}
@@ -783,19 +780,24 @@ func (w *Warehouse) HourlySeries(id trace.ServerID, spec trace.Spec, epoch time.
 // hours of the aggregate (0 = everything) — the cheap "recent window" read
 // sizing advisors issue, without shipping a 30-day series to slice one day.
 func (w *Warehouse) HourlySeriesWindow(id trace.ServerID, spec trace.Spec, epoch time.Time, lastHours int) (*trace.Series, error) {
-	out, err := w.hours(nil, id, spec, epoch)
+	out, err := w.hours(nil, id, spec, epoch, lastHours)
 	if err != nil {
 		return nil, err
 	}
-	return trace.NewSeries(time.Hour, windowTail(out, lastHours))
+	return trace.NewSeries(time.Hour, out)
 }
 
-// hours is a server's whole hourly series, in dst's storage when it is
-// large enough.
-func (w *Warehouse) hours(dst []trace.Usage, id trace.ServerID, spec trace.Spec, epoch time.Time) ([]trace.Usage, error) {
+// hours is a server's hourly series, its trailing lastHours hours (0 =
+// all), in dst's storage when it is large enough.
+func (w *Warehouse) hours(dst []trace.Usage, id trace.ServerID, spec trace.Spec, epoch time.Time, lastHours int) ([]trace.Usage, error) {
 	sh := &w.shards[w.shardIndex(id)]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
+	return sh.hoursLocked(dst, id, spec, epoch, lastHours)
+}
+
+// hoursLocked is hours for a caller that holds sh.mu.
+func (sh *shard) hoursLocked(dst []trace.Usage, id trace.ServerID, spec trace.Spec, epoch time.Time, lastHours int) ([]trace.Usage, error) {
 	st := sh.servers[id]
 	if st == nil || len(st.cpu) == 0 {
 		return nil, fmt.Errorf("monitor: no samples for %s", id)
@@ -803,15 +805,140 @@ func (w *Warehouse) hours(dst []trace.Usage, id trace.ServerID, spec trace.Spec,
 	if spec.CPURPE2 <= 0 {
 		return nil, errNoCPURating
 	}
-	return st.hourly(dst, spec, epoch)
+	return st.hourly(dst, spec, epoch, lastHours)
 }
 
-// windowTail slices the trailing lastHours entries (0 keeps everything).
-func windowTail(out []trace.Usage, lastHours int) []trace.Usage {
-	if lastHours > 0 && lastHours < len(out) {
-		return out[len(out)-lastHours:]
+// usageScratchPool holds hourly() output for callers that encode it and let
+// go (seriesJSON, the set op).
+var usageScratchPool = sync.Pool{New: func() any { return new([]trace.Usage) }}
+
+// seriesMemo memoizes marshaled series answers on one shard generation:
+// an answer computed at generation gen is the answer for as long as the
+// shard's mutation counter stays there, and every entry in m was
+// computed at gen. Planners pull the same fleet every interval, so a
+// repeat question skips the aggregation and the encode.
+type seriesMemo struct {
+	mu  sync.Mutex
+	gen uint64
+	m   map[seriesCacheKey]*cachedSeries
+}
+
+// seriesCacheKey identifies one series question exactly: server, spec, the
+// precise epoch instant (second + intra-second nanos, overflow-proof for
+// wild epochs), and the window.
+type seriesCacheKey struct {
+	id        trace.ServerID
+	cpuRPE2   float64
+	memMB     float64
+	epochSec  int64
+	epochNano int
+	lastHours int
+}
+
+func newSeriesKey(id trace.ServerID, spec trace.Spec, epoch time.Time, lastHours int) seriesCacheKey {
+	return seriesCacheKey{id, spec.CPURPE2, spec.MemMB, epoch.Unix(), epoch.Nanosecond(), lastHours}
+}
+
+// cachedSeries is one memoized answer: the response line's body — the
+// bytes of {"ok":true,"usage":"..."} after the opening brace (seriesBody),
+// so the writer can splice a request id in front without re-encoding — or
+// the deterministic error the computation produced.
+type cachedSeries struct {
+	body []byte
+	err  error
+}
+
+// maxSeriesCacheEntries bounds one generation's memo; past it the memo is
+// cleared rather than evicted piecemeal.
+const maxSeriesCacheEntries = 4096
+
+// peek returns key's answer if it was computed at generation gen.
+func (m *seriesMemo) peek(gen uint64, key seriesCacheKey) (*cachedSeries, bool) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if gen != m.gen {
+		return nil, false
 	}
-	return out
+	c, ok := m.m[key]
+	return c, ok
+}
+
+// store records key's answer computed at generation gen. An answer older
+// than the memo's generation is dropped; a newer one starts a new memo.
+func (m *seriesMemo) store(gen uint64, key seriesCacheKey, c *cachedSeries) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	switch {
+	case gen < m.gen:
+		return
+	case gen > m.gen || m.m == nil || len(m.m) >= maxSeriesCacheEntries:
+		m.gen, m.m = gen, make(map[seriesCacheKey]*cachedSeries)
+	}
+	m.m[key] = c
+}
+
+// seriesJSON answers a series question as its response body (seriesBody),
+// memoized on the server's shard generation. The generation is read under
+// the shard lock the computation holds, so an entry never mixes
+// generations; errors are deterministic per generation and memoized too.
+func (w *Warehouse) seriesJSON(id trace.ServerID, spec trace.Spec, epoch time.Time, lastHours int) ([]byte, error) {
+	if c, ok := w.seriesJSONPeek(id, spec, epoch, lastHours); ok {
+		return c.body, c.err
+	}
+	sh := &w.shards[w.shardIndex(id)]
+	// The samples only pass through on their way into the body; a fresh
+	// slice each would be a quarter of a fleet pull's allocated bytes.
+	scratch := usageScratchPool.Get().(*[]trace.Usage)
+	defer usageScratchPool.Put(scratch)
+	sh.mu.Lock()
+	gen := sh.mutations.Load()
+	out, err := sh.hoursLocked(*scratch, id, spec, epoch, lastHours)
+	sh.mu.Unlock()
+	c := &cachedSeries{err: err}
+	if err == nil {
+		c.body = seriesBody(out)
+		*scratch = out
+	}
+	sh.memo.store(gen, newSeriesKey(id, spec, epoch, lastHours), c)
+	return c.body, c.err
+}
+
+// seriesJSONPeek returns the memoized answer to a series question if the
+// shard's current generation has one, without computing on a miss.
+func (w *Warehouse) seriesJSONPeek(id trace.ServerID, spec trace.Spec, epoch time.Time, lastHours int) (*cachedSeries, bool) {
+	sh := &w.shards[w.shardIndex(id)]
+	return sh.memo.peek(sh.mutations.Load(), newSeriesKey(id, spec, epoch, lastHours))
+}
+
+// RangePoint is one raw hot-column sample as served by the range read.
+type RangePoint struct {
+	TS  int64   `json:"ts"` // UnixNano
+	CPU float64 `json:"cpu"`
+	Mem float64 `json:"mem"`
+}
+
+// Range reads a server's raw samples with fromNanos <= ts < toNanos, in
+// storage order.
+func (w *Warehouse) Range(id trace.ServerID, fromNanos, toNanos int64) ([]RangePoint, error) {
+	sh := &w.shards[w.shardIndex(id)]
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	st := sh.servers[id]
+	if st == nil || len(st.cpu) == 0 {
+		return nil, fmt.Errorf("monitor: no samples for %s", id)
+	}
+	at := timeColumn(st.ns, st.ts)
+	from, to := time.Unix(0, fromNanos), time.Unix(0, toNanos)
+	lo := sort.Search(len(st.cpu), func(i int) bool { return !at(i).Before(from) })
+	hi := sort.Search(len(st.cpu), func(i int) bool { return !at(i).Before(to) })
+	if lo >= hi {
+		return nil, nil
+	}
+	out := make([]RangePoint, 0, hi-lo)
+	for i := lo; i < hi; i++ {
+		out = append(out, RangePoint{TS: at(i).UnixNano(), CPU: st.cpu[i], Mem: st.mem[i]})
+	}
+	return out, nil
 }
 
 // CollectSet aggregates every monitored server into a trace set, given each

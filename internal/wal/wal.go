@@ -223,6 +223,9 @@ type Log struct {
 	torn       bool // garbage bytes sit past activeSize (failed write); repair = truncate in place
 	poisoned   bool // a fsync failed; repair = truncate to syncedSize and rotate
 	terminal   bool // poison repair failed; every operation returns ErrPoisoned
+	// frame is the buffer Append builds each frame in, reused across
+	// appends: no fsx.FS keeps the slice its Write is handed.
+	frame []byte
 }
 
 // Open recovers the log directory (creating it if needed) and returns the
@@ -347,7 +350,10 @@ func (l *Log) Append(payload []byte) error {
 			return err
 		}
 	}
-	frame := make([]byte, frameLen+len(payload))
+	if cap(l.frame) < frameLen+len(payload) {
+		l.frame = make([]byte, frameLen+len(payload))
+	}
+	frame := l.frame[:frameLen+len(payload)]
 	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(frame[4:8], crc32.Checksum(payload, crcTable))
 	copy(frame[frameLen:], payload)

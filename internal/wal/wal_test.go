@@ -55,6 +55,26 @@ func TestAppendReplayRoundtrip(t *testing.T) {
 	}
 }
 
+// TestAppendAllocatesNothing: after the first append sizes the log's frame
+// buffer, appending a record of up to that size allocates nothing — the
+// frame is built in the buffer, not in a fresh copy of the payload.
+func TestAppendAllocatesNothing(t *testing.T) {
+	l, _ := mustOpen(t, t.TempDir(), Options{Sync: SyncInterval, SyncEvery: time.Hour})
+	defer l.Close()
+	payload := bytes.Repeat([]byte("sample-record "), 3000) // a ~40 KB lane run
+	if err := l.Append(payload); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if err := l.Append(payload[:len(payload)-len(payload)%97]); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("Append allocates %v times per record after warm-up, want 0", allocs)
+	}
+}
+
 func TestSegmentRotation(t *testing.T) {
 	dir := t.TempDir()
 	l, _ := mustOpen(t, dir, Options{SegmentBytes: 256})

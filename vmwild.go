@@ -629,16 +629,8 @@ func DialQuery(ctx context.Context, addr string) (*QueryClient, error) {
 	return monitor.DialQuery(ctx, addr)
 }
 
-// Read-path scale-out: generation-versioned snapshot replicas with
-// Gorilla-compressed columns serve queries lock-free, and the pipelined
-// query protocol multiplexes many requests per connection.
+// Reads beyond the series: raw ranges and server-side advice.
 type (
-	// ReplicaConfig tunes the warehouse's snapshot replica layer: publish
-	// cadence (samples and age) and compressed block size.
-	ReplicaConfig = monitor.ReplicaConfig
-	// ReplicaMetrics counts the replica layer's publishes, reads, block
-	// skips, staleness lag, and compression footprint.
-	ReplicaMetrics = monitor.ReplicaMetrics
 	// RangePoint is one raw sample in a range query result.
 	RangePoint = monitor.RangePoint
 	// AdviseRequest parameterizes a server-side consolidation
@@ -649,8 +641,15 @@ type (
 	Advice = monitor.Advice
 )
 
-// Default replica publish cadence: a shard republishes after this many new
-// samples or this much staleness, whichever comes first.
+// Deprecated: there is no replica layer; every read is served from the
+// live shards. ReplicaConfig, ReplicaMetrics and the two defaults remain
+// for callers built against it, and configure nothing.
+type (
+	ReplicaConfig  = monitor.ReplicaConfig
+	ReplicaMetrics = monitor.ReplicaMetrics
+)
+
+// Deprecated: see ReplicaConfig.
 const (
 	DefaultReplicaEverySamples = monitor.DefaultReplicaEverySamples
 	DefaultReplicaMaxAge       = monitor.DefaultReplicaMaxAge
