@@ -3,38 +3,42 @@
 //
 //	tracegen -workload A -hours 1056 -seed 20141208 -o traces_a.csv
 //
-// The CSV has one row per (server, hour): server id, application, class,
-// hardware capacities, hour index, CPU demand (RPE2) and memory demand (MB).
+// The CSV is the layout vmwild.WriteTraceCSV writes and
+// vmwild.ReadTraceCSV reads back: one row per (server, hour) with server
+// id, application, class, hardware capacities, hour index, CPU demand
+// (RPE2) and memory demand (MB).
 package main
 
 import (
 	"bufio"
-	"encoding/csv"
 	"flag"
 	"fmt"
+	"io"
 	"os"
-	"strconv"
 
 	"vmwild"
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "tracegen:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("tracegen", flag.ContinueOnError)
 	var (
-		workload    = flag.String("workload", "A", "workload profile: A, B, C or D")
-		profilePath = flag.String("profile", "", "load a custom profile from this JSON file instead of -workload")
-		hours       = flag.Int("hours", vmwild.HorizonHours, "hours of trace to generate")
-		seed        = flag.Int64("seed", vmwild.DefaultSeed, "generator seed")
-		out         = flag.String("o", "", "output file (default stdout)")
-		servers     = flag.Int("servers", 0, "override server count (0 keeps the profile's)")
+		workload    = fs.String("workload", "A", "workload profile: A, B, C or D")
+		profilePath = fs.String("profile", "", "load a custom profile from this JSON file instead of -workload")
+		hours       = fs.Int("hours", vmwild.HorizonHours, "hours of trace to generate")
+		seed        = fs.Int64("seed", vmwild.DefaultSeed, "generator seed")
+		out         = fs.String("o", "", "output file (default stdout)")
+		servers     = fs.Int("servers", 0, "override server count (0 keeps the profile's)")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	var profile *vmwild.Profile
 	if *profilePath != "" {
@@ -67,42 +71,25 @@ func run() error {
 		return err
 	}
 
-	var w *bufio.Writer
 	if *out == "" {
-		w = bufio.NewWriter(os.Stdout)
-	} else {
-		f, err := os.Create(*out)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		w = bufio.NewWriter(f)
+		return writeCSV(stdout, set)
 	}
-	defer w.Flush()
-
-	cw := csv.NewWriter(w)
-	defer cw.Flush()
-	if err := cw.Write([]string{"server", "app", "class", "cpu_rpe2_capacity", "mem_mb_capacity", "hour", "cpu_rpe2", "mem_mb"}); err != nil {
+	f, err := os.Create(*out)
+	if err != nil {
 		return err
 	}
-	for _, st := range set.Servers {
-		base := []string{
-			string(st.ID),
-			st.App,
-			st.Class,
-			strconv.FormatFloat(st.Spec.CPURPE2, 'f', 0, 64),
-			strconv.FormatFloat(st.Spec.MemMB, 'f', 0, 64),
-		}
-		for h, u := range st.Series.Samples {
-			row := append(append([]string(nil), base...),
-				strconv.Itoa(h),
-				strconv.FormatFloat(u.CPU, 'f', 1, 64),
-				strconv.FormatFloat(u.Mem, 'f', 1, 64),
-			)
-			if err := cw.Write(row); err != nil {
-				return err
-			}
-		}
+	if err := writeCSV(f, set); err != nil {
+		f.Close()
+		return err
 	}
-	return nil
+	return f.Close()
+}
+
+// writeCSV writes set to w through one buffer and flushes it.
+func writeCSV(w io.Writer, set *vmwild.TraceSet) error {
+	bw := bufio.NewWriter(w)
+	if err := vmwild.WriteTraceCSV(bw, set); err != nil {
+		return err
+	}
+	return bw.Flush()
 }

@@ -8,7 +8,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"strings"
 	"sync/atomic"
 	"syscall"
@@ -192,81 +191,9 @@ func TestVarzServesWarehouseMetrics(t *testing.T) {
 	}
 }
 
-func TestCleanupStaleSnapshots(t *testing.T) {
-	dir := t.TempDir()
-	target := filepath.Join(dir, "warehouse.snap")
-	keep := filepath.Join(dir, "unrelated.txt")
-	for _, f := range []string{target, keep} {
-		if err := os.WriteFile(f, []byte("x"), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var stale []string
-	for i := 0; i < 3; i++ {
-		f := filepath.Join(dir, fmt.Sprintf(".snapshot-%d", i))
-		if err := os.WriteFile(f, []byte("torn"), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		stale = append(stale, f)
-	}
-	cleanupStaleSnapshots(vmwild.OSFS, target)
-	for _, f := range stale {
-		if _, err := os.Stat(f); !os.IsNotExist(err) {
-			t.Errorf("stale temp file %s survived cleanup", f)
-		}
-	}
-	for _, f := range []string{target, keep} {
-		if _, err := os.Stat(f); err != nil {
-			t.Errorf("cleanup removed %s: %v", f, err)
-		}
-	}
-}
-
-func TestWriteSnapshotLeavesNoTempOnFailure(t *testing.T) {
-	dir := t.TempDir()
-	w := vmwild.NewWarehouse(0)
-	w.Ingest(vmwild.MonitorSample{
-		Server:            "s1",
-		Timestamp:         time.Date(2012, 6, 4, 0, 0, 0, 0, time.UTC),
-		TotalProcessorPct: 50,
-		MemCommittedMB:    512,
-	})
-	// Renaming onto a directory fails after the stream succeeded.
-	target := filepath.Join(dir, "occupied")
-	if err := os.Mkdir(target, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	if err := writeSnapshot(vmwild.OSFS, w, target); err == nil {
-		t.Fatal("expected rename failure")
-	}
-	left, err := filepath.Glob(filepath.Join(dir, ".snapshot-*"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(left) != 0 {
-		t.Errorf("failure path stranded temp files: %v", left)
-	}
-
-	// The happy path still lands the snapshot.
-	good := filepath.Join(dir, "warehouse.snap")
-	if err := writeSnapshot(vmwild.OSFS, w, good); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(good); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestServeRejectsSnapshotPlusWAL(t *testing.T) {
-	err := serve(serveConfig{snapshotPath: "a.snap", walDir: "wal"})
-	if err == nil || !strings.Contains(err.Error(), "mutually exclusive") {
-		t.Fatalf("err = %v, want mutual-exclusion error", err)
-	}
-}
-
 func TestServeRejectsFaultProfileWithoutDurablePath(t *testing.T) {
 	err := serve(serveConfig{faultProfile: "flaky"})
-	if err == nil || !strings.Contains(err.Error(), "requires -wal-dir or -snapshot") {
+	if err == nil || !strings.Contains(err.Error(), "requires -wal-dir") {
 		t.Fatalf("err = %v, want missing-durable-path error", err)
 	}
 }
@@ -308,52 +235,5 @@ func TestReadyzReportsStorageDegraded(t *testing.T) {
 	}
 	if got := get("/healthz"); got != http.StatusOK {
 		t.Errorf("/healthz degraded = %d, want 200 (liveness is not readiness)", got)
-	}
-}
-
-// TestWriteSnapshotFaultFS: the snapshot writer's failure handling runs
-// through the injected filesystem — a torn stream reports the failure and
-// strands no temp file, and the previous good snapshot survives.
-func TestWriteSnapshotFaultFS(t *testing.T) {
-	dir := t.TempDir()
-	target := filepath.Join(dir, "warehouse.snap")
-	w := vmwild.NewWarehouse(0)
-	for i := 0; i < 64; i++ {
-		w.Ingest(vmwild.MonitorSample{
-			Server:            vmwild.ServerID(fmt.Sprintf("s%02d", i%4)),
-			Timestamp:         time.Date(2012, 6, 4, 0, 0, 0, 0, time.UTC).Add(time.Duration(i) * time.Minute),
-			TotalProcessorPct: float64(i % 100),
-			MemCommittedMB:    512,
-		})
-	}
-	if err := writeSnapshot(vmwild.OSFS, w, target); err != nil {
-		t.Fatal(err)
-	}
-	good, err := os.ReadFile(target)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Every write through this FS is torn; the stream must fail cleanly.
-	ffs, err := vmwild.NewFaultFS(vmwild.OSFS, dir, 3, vmwild.FaultProfile{WriteErrProb: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := writeSnapshot(ffs, w, target); err == nil {
-		t.Fatal("snapshot through an all-faults disk reported success")
-	}
-	left, err := filepath.Glob(filepath.Join(dir, ".snapshot-*"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(left) != 0 {
-		t.Errorf("failure path stranded temp files: %v", left)
-	}
-	after, err := os.ReadFile(target)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(after) != string(good) {
-		t.Error("failed snapshot attempt damaged the previous good snapshot")
 	}
 }

@@ -1,6 +1,6 @@
 // Package fsx abstracts the filesystem operations the durable paths use —
-// the WAL, the warehouse journal, the controller journal, and the vmwildd
-// snapshot writer all talk to an FS instead of the os package directly.
+// the WAL, the warehouse journal and the controller journal all talk to an
+// FS instead of the os package directly.
 // Production code runs on OS, a zero-cost passthrough; tests and chaos
 // drills run on FaultFS, a seeded fault injector whose every decision is a
 // pure identity-addressed draw (stats.Split over seed, operation, path and
@@ -61,7 +61,7 @@ type FS interface {
 	// OpenFile is the general open, with os.O_* flags.
 	OpenFile(name string, flag int, perm os.FileMode) (File, error)
 	// Rename atomically replaces newpath with oldpath (the commit
-	// primitive behind checkpoints and snapshots).
+	// primitive behind checkpoints and the journal's re-lane).
 	Rename(oldpath, newpath string) error
 	// Remove deletes a file.
 	Remove(name string) error

@@ -195,10 +195,10 @@ func TestSampleRecordRejects(t *testing.T) {
 	w := NewWarehouse(0)
 	payload := append([]byte(snapshotMagic), rec...)
 	payload = append(payload, rec[:7]...)
-	if n, err := w.Restore(bytes.NewReader(payload)); err == nil || n != 1 {
+	if n, err := w.restore(payload); err == nil || n != 1 {
 		t.Errorf("cut payload: restored %d, err %v; want 1 and an error", n, err)
 	}
-	if n, err := NewWarehouse(0).Restore(bytes.NewReader([]byte(snapshotMagic))); err != nil || n != 0 {
+	if n, err := NewWarehouse(0).restore([]byte(snapshotMagic)); err != nil || n != 0 {
 		t.Errorf("magic alone: restored %d, err %v; want an empty snapshot", n, err)
 	}
 }

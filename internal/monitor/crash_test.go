@@ -3,11 +3,14 @@ package monitor
 import (
 	"bytes"
 	"errors"
+	"math"
 	"math/rand"
 	"os"
+	"path/filepath"
 	"strconv"
 	"testing"
 
+	"vmwild/internal/fsx"
 	"vmwild/internal/trace"
 	"vmwild/internal/wal"
 )
@@ -145,5 +148,169 @@ func TestCrashWallWarehouse(t *testing.T) {
 			t.Fatalf("cut %d: resumed run diverges from the no-crash reference", cut)
 		}
 		wl2.Close()
+	}
+}
+
+// errCut is what a cutFS returns once the process it models has died.
+var errCut = errors.New("cut: process died here")
+
+// cutFS models a process dying at its cut-th mutating filesystem call
+// (counting from 0): that call and every mutating call after it fail.
+// Creates, renames, removes, mkdirs and file and directory syncs count;
+// after the cut, writes and truncates on open files fail too. Reads pass.
+type cutFS struct {
+	fsx.FS
+	cut, calls int
+}
+
+func (c *cutFS) step() error {
+	c.calls++
+	if c.calls > c.cut {
+		return errCut
+	}
+	return nil
+}
+
+func (c *cutFS) dead() bool { return c.calls > c.cut }
+
+func (c *cutFS) OpenFile(name string, flag int, perm os.FileMode) (fsx.File, error) {
+	if flag&os.O_CREATE != 0 {
+		if err := c.step(); err != nil {
+			return nil, err
+		}
+	}
+	f, err := c.FS.OpenFile(name, flag, perm)
+	if err != nil {
+		return nil, err
+	}
+	return &cutFile{File: f, fs: c}, nil
+}
+
+func (c *cutFS) Rename(from, to string) error {
+	if err := c.step(); err != nil {
+		return err
+	}
+	return c.FS.Rename(from, to)
+}
+
+func (c *cutFS) Remove(name string) error {
+	if err := c.step(); err != nil {
+		return err
+	}
+	return c.FS.Remove(name)
+}
+
+func (c *cutFS) RemoveAll(path string) error {
+	if err := c.step(); err != nil {
+		return err
+	}
+	return c.FS.RemoveAll(path)
+}
+
+func (c *cutFS) MkdirAll(path string, perm os.FileMode) error {
+	if err := c.step(); err != nil {
+		return err
+	}
+	return c.FS.MkdirAll(path, perm)
+}
+
+func (c *cutFS) SyncDir(name string) error {
+	if err := c.step(); err != nil {
+		return err
+	}
+	return c.FS.SyncDir(name)
+}
+
+type cutFile struct {
+	fsx.File
+	fs *cutFS
+}
+
+func (f *cutFile) Sync() error {
+	if err := f.fs.step(); err != nil {
+		return err
+	}
+	return f.File.Sync()
+}
+
+func (f *cutFile) Write(p []byte) (int, error) {
+	if f.fs.dead() {
+		return 0, errCut
+	}
+	return f.File.Write(p)
+}
+
+func (f *cutFile) Truncate(size int64) error {
+	if f.fs.dead() {
+		return errCut
+	}
+	return f.File.Truncate(size)
+}
+
+// TestCrashWallReshard cuts the re-lane of an 8-lane log to 3 shards at
+// every mutating filesystem call in turn, until a run completes uncut.
+// After every cut, a clean reopen at 3 shards and one at 8 shards (each
+// on its own copy of the cut directory) must recover all 30 samples,
+// byte-identical to the store that wrote them: the fold is crash-safe in
+// both directions.
+func TestCrashWallReshard(t *testing.T) {
+	const n = 30
+	src := t.TempDir()
+	w8 := NewWarehouseShards(0, 8)
+	wl8, err := OpenWarehouseLog(w8, src, 16, wal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < n; i++ {
+		if err := w8.IngestDurable(synthSample(i)); err != nil {
+			t.Fatalf("ingest %d: %v", i, err)
+		}
+	}
+	want := snapshotBytes(t, w8)
+	if err := wl8.Close(); err != nil {
+		t.Fatal(err)
+	}
+	clone := func(from string) string {
+		t.Helper()
+		to := filepath.Join(t.TempDir(), "wal")
+		if err := os.CopyFS(to, os.DirFS(from)); err != nil {
+			t.Fatal(err)
+		}
+		return to
+	}
+
+	for cut := 0; ; cut++ {
+		dir := clone(src)
+		cfs := &cutFS{FS: fsx.OS, cut: cut}
+		wl, err := OpenWarehouseLog(NewWarehouseShards(0, 3), dir, 16, wal.Options{FS: cfs})
+		uncut := err == nil
+		if uncut {
+			cfs.cut = math.MaxInt
+			if err := wl.Close(); err != nil {
+				t.Fatal(err)
+			}
+		} else if !cfs.dead() {
+			t.Fatalf("cut %d: open failed before the cut: %v", cut, err)
+		}
+		for _, shards := range []int{3, 8} {
+			w := NewWarehouseShards(0, shards)
+			wl, err := OpenWarehouseLog(w, clone(dir), 16, wal.Options{})
+			if err != nil {
+				t.Fatalf("cut %d: reopen at %d shards: %v", cut, shards, err)
+			}
+			if rec := wl.Recovery(); rec.Restored+rec.Replayed != n {
+				t.Fatalf("cut %d: reopen at %d shards recovered %d + %d samples, want %d", cut, shards, rec.Restored, rec.Replayed, n)
+			}
+			if !bytes.Equal(snapshotBytes(t, w), want) {
+				t.Fatalf("cut %d: reopen at %d shards diverges from the store that wrote the log", cut, shards)
+			}
+			if err := wl.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if uncut {
+			t.Logf("re-lane survived a cut at each of its %d mutating calls", cut)
+			return
+		}
 	}
 }

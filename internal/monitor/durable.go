@@ -1,11 +1,12 @@
 package monitor
 
 import (
-	"bytes"
+	"cmp"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"sync"
 
@@ -14,34 +15,24 @@ import (
 	"vmwild/internal/wal"
 )
 
-// WarehouseLog makes a warehouse crash-safe: every accepted sample is
-// journaled to a write-ahead log before it becomes visible, and each lane
-// is checkpointed once its WAL suffix reaches a quarter of the samples
-// its last checkpoint held (never sooner than its share of
-// CheckpointEvery), after which the covered log segments are compacted
-// away. The proportional cadence keeps write amplification constant as a
-// shard grows and bounds crash replay to about S/4 records per lane of S
-// samples. The log is laid out as one
-// lane per warehouse shard (dir/shard-000, dir/shard-001, ...): a sample
-// journals to the lane of its shard, each lane checkpoints just its shard
-// (via snapshotShard) on its own cadence, and lanes never contend with
-// each other — so durable ingest scales with the shard count while the
-// checkpoint-before-append contract holds lane by lane. Recovery at open
-// is "restore each lane's checkpoint, replay its WAL suffix"; a crash
-// loses at most the samples the fsync policy had not yet persisted.
+// WarehouseLog makes a warehouse crash-safe, and is its only durable
+// form: one lane per warehouse shard (dir/shard-000, dir/shard-001, ...).
+// A sample is journaled to its shard's lane before it becomes visible, and
+// lanes never contend, so durable ingest scales with the shard count. A
+// lane checkpoints just its shard (snapshotShard) once its WAL suffix
+// reaches a quarter of the samples its last checkpoint held (never sooner
+// than its share of CheckpointEvery) and compacts the covered segments:
+// write amplification stays constant as a shard grows, and crash replay
+// stays near S/4 records per lane of S samples. Open restores each lane's
+// checkpoint and replays its suffix; a crash loses at most the samples the
+// fsync policy had not yet persisted.
 //
-// A WAL record is one lane's run of binary sample records (snapshot.go):
-// one append per lane per ingested frame or batch. Checkpoints use the
-// same codec; a directory checkpointed as JSON by an older build fails to
-// open.
-//
-// A directory written by the old single-log layout (wal-*.log and
-// checkpoint-*.ckpt at the root) is migrated on open: the root log is
-// recovered, re-checkpointed into the lanes, and removed, with a synced
-// marker file making the hand-off crash-safe in both directions.
+// A WAL record is one lane's run of binary sample records (snapshot.go);
+// checkpoints use the same codec. A JSON checkpoint from an older build
+// fails to open, and so does the old single-log layout, untouched. A lane
+// depends on the shard count, so another count's lanes are re-laned.
 type WarehouseLog struct {
 	w         *Warehouse
-	fs        fsx.FS
 	lanes     []journalLane
 	everyLane int
 
@@ -67,60 +58,41 @@ type journalLane struct {
 // each sample pays for about k checkpoint records plus its own WAL record.
 const ckptGrowth = 4
 
-// legacyMigratedMarker commits a legacy-root migration: once it exists
-// the lanes are authoritative and the remaining root files are garbage.
-const legacyMigratedMarker = "legacy-migrated"
+// reshardDir stages a re-lane's new lanes, as reshardDir+".tmp" until commit.
+const reshardDir = "reshard"
 
+// laneDirName names lane i; below 1000 lanes, name order is index order.
 func laneDirName(i int) string         { return fmt.Sprintf("shard-%03d", i) }
 func laneDir(dir string, i int) string { return filepath.Join(dir, laneDirName(i)) }
 
-func isLegacyWALFile(name string) bool {
-	return (strings.HasPrefix(name, "wal-") && strings.HasSuffix(name, ".log")) ||
-		(strings.HasPrefix(name, "checkpoint-") && strings.HasSuffix(name, ".ckpt"))
-}
-
-// scanWALDir classifies dir's contents: legacy root WAL files, existing
-// lane directories, and the migration marker.
-func scanWALDir(fs fsx.FS, dir string) (legacy []string, laneDirs []string, marker bool, err error) {
+// scanWALDir lists dir's lane directories (only names laneDirName makes)
+// in name order and its reshard directory, if any, and refuses the
+// single-log layout's root files.
+func scanWALDir(fs fsx.FS, dir string) (laneDirs []string, staged string, err error) {
 	entries, err := fs.ReadDir(dir)
-	if errors.Is(err, os.ErrNotExist) {
-		return nil, nil, false, nil
-	}
-	if err != nil {
-		return nil, nil, false, fmt.Errorf("monitor: scan wal dir: %w", err)
+	if err != nil && !errors.Is(err, os.ErrNotExist) {
+		return nil, "", fmt.Errorf("monitor: scan wal dir: %w", err)
 	}
 	for _, e := range entries {
-		name := e.Name()
-		switch {
-		case e.IsDir() && strings.HasPrefix(name, "shard-"):
-			laneDirs = append(laneDirs, name)
-		case name == legacyMigratedMarker:
-			marker = true
-		case !e.IsDir() && isLegacyWALFile(name):
-			legacy = append(legacy, name)
+		switch name := e.Name(); {
+		case strings.HasPrefix(name, "shard-"):
+			if i, err := strconv.Atoi(name[len("shard-"):]); err == nil && name == laneDirName(i) {
+				laneDirs = append(laneDirs, name)
+			}
+		case name == reshardDir || name == reshardDir+".tmp":
+			staged = name
+		case strings.HasPrefix(name, "wal-") || strings.HasPrefix(name, "checkpoint-"):
+			return nil, "", fmt.Errorf("monitor: %s holds root-level %s, the single-log WAL layout; this build reads only shard-NNN lanes and left it untouched", dir, name)
 		}
 	}
-	return legacy, laneDirs, marker, nil
+	return laneDirs, staged, nil
 }
 
-// lanesComplete reports whether laneDirs is exactly shard-000 ..
-// shard-(n-1). Anything else — a partial fresh open, or a layout from a
-// different shard count — must be migrated, not reused, because a
-// server's lane assignment depends on the shard count.
+// lanesComplete reports whether the sorted, well-formed laneDirs are
+// exactly shard-000 .. shard-(n-1), for n >= 1. Anything else (a torn
+// fresh open, another shard count) is re-laned.
 func lanesComplete(laneDirs []string, n int) bool {
-	if len(laneDirs) != n {
-		return false
-	}
-	have := make(map[string]bool, len(laneDirs))
-	for _, d := range laneDirs {
-		have[d] = true
-	}
-	for i := 0; i < n; i++ {
-		if !have[laneDirName(i)] {
-			return false
-		}
-	}
-	return true
+	return len(laneDirs) == n && laneDirs[n-1] == laneDirName(n-1)
 }
 
 // recoverLog drains one opened log into w, returning the restored and
@@ -163,70 +135,32 @@ func OpenWarehouseLog(w *Warehouse, dir string, checkpointEvery int, opts wal.Op
 		checkpointEvery = 4096
 	}
 	nlanes := w.Shards()
-	fs := opts.FS
-	if fs == nil {
-		fs = fsx.OS
-	}
+	fs := cmp.Or(opts.FS, fsx.OS)
 	wl := &WarehouseLog{
 		w:         w,
-		fs:        fs,
 		lanes:     make([]journalLane, nlanes),
 		everyLane: max(1, checkpointEvery/nlanes),
 	}
 
-	legacy, laneDirs, marker, err := scanWALDir(fs, dir)
-	if err != nil {
-		return nil, err
-	}
-	if marker {
-		// A previous migration checkpointed the lanes and crashed during
-		// cleanup: the lanes are authoritative, the root files garbage.
-		for _, name := range legacy {
-			if err := fs.Remove(filepath.Join(dir, name)); err != nil {
-				return nil, fmt.Errorf("monitor: finish wal migration: %w", err)
-			}
-		}
-		if err := fs.Remove(filepath.Join(dir, legacyMigratedMarker)); err != nil {
-			return nil, fmt.Errorf("monitor: finish wal migration: %w", err)
-		}
-		legacy = nil
-	}
-
-	migrateLegacy := len(legacy) > 0
-	if migrateLegacy {
-		// The root log is authoritative until the marker lands; any lane
-		// dirs are artifacts of an earlier migration that did not commit.
-		for _, d := range laneDirs {
-			if err := fs.RemoveAll(filepath.Join(dir, d)); err != nil {
-				return nil, fmt.Errorf("monitor: clear stale wal lanes: %w", err)
-			}
-		}
-	} else if len(laneDirs) > 0 && !lanesComplete(laneDirs, nlanes) {
-		// A lane layout from a different shard count (or a torn fresh
-		// open): fold it into a root-level legacy checkpoint, then run
-		// the legacy migration below. The scratch warehouse keeps w
-		// untouched until the one authoritative recovery pass.
-		if err := foldLanesToRoot(w, dir, laneDirs, opts, &wl.torn); err != nil {
-			return nil, err
-		}
-		migrateLegacy = true
-	}
-
-	if migrateLegacy {
-		log, recovered, err := wal.Open(dir, opts)
-		if err != nil {
-			return nil, fmt.Errorf("monitor: open legacy wal: %w", err)
-		}
-		wl.torn += recovered.TornBytes
-		res, rep, err := recoverLog(recovered, w)
-		if cerr := log.Close(); err == nil && cerr != nil {
-			err = cerr
-		}
+reshard: // bring dir to exactly nlanes lanes; every step makes progress
+	for {
+		laneDirs, staged, err := scanWALDir(fs, dir)
 		if err != nil {
 			return nil, err
 		}
-		wl.restored += res
-		wl.replayed += rep
+		switch {
+		case staged == reshardDir: // committed; a crash cut the swap short
+			err = finishReshard(fs, dir, laneDirs)
+		case staged != "": // never committed: the old lanes stand
+			err = fs.RemoveAll(filepath.Join(dir, staged))
+		case len(laneDirs) > 0 && !lanesComplete(laneDirs, nlanes):
+			err = reshardLanes(w, fs, dir, laneDirs, opts, &wl.torn)
+		default:
+			break reshard
+		}
+		if err != nil {
+			return nil, fmt.Errorf("monitor: reshard wal lanes: %w", err)
+		}
 	}
 
 	for i := range wl.lanes {
@@ -238,9 +172,6 @@ func OpenWarehouseLog(w *Warehouse, dir string, checkpointEvery int, opts wal.Op
 			return nil, fmt.Errorf("monitor: open wal lane %d: %w", i, err)
 		}
 		wl.lanes[i].log = log
-		if migrateLegacy {
-			continue // fresh lanes; nothing to recover
-		}
 		wl.torn += recovered.TornBytes
 		res, rep, err := recoverLog(recovered, w)
 		if err != nil {
@@ -255,104 +186,72 @@ func OpenWarehouseLog(w *Warehouse, dir string, checkpointEvery int, opts wal.Op
 		wl.lanes[i].ckptSamples = res
 	}
 
-	if migrateLegacy {
-		if err := wl.commitMigration(dir); err != nil {
-			for i := range wl.lanes {
-				wl.lanes[i].log.Close()
-			}
-			return nil, err
-		}
-	}
-
 	w.setJournal(wl.journal)
 	return wl, nil
 }
 
-// foldLanesToRoot recovers an incompatible lane layout into a root-level
-// legacy checkpoint (via a scratch warehouse, so w stays empty) and
-// removes the old lane dirs. The root checkpoint is durable before
-// anything is deleted, so a crash at any point either redoes the fold or
-// proceeds from the root.
-func foldLanesToRoot(w *Warehouse, dir string, laneDirs []string, opts wal.Options, torn *int64) error {
-	fs := opts.FS
-	if fs == nil {
-		fs = fsx.OS
-	}
-	scratch := NewWarehouseShards(w.Retention, 1)
+// reshardLanes recovers laneDirs into a scratch warehouse of w's shard
+// count (w stays empty until the open's one recovery pass), checkpoints
+// its shards as new lanes under reshardDir+".tmp", and commits them by
+// renaming that to reshardDir: until then the old lanes stand.
+func reshardLanes(w *Warehouse, fs fsx.FS, dir string, laneDirs []string, opts wal.Options, torn *int64) error {
+	scratch := NewWarehouseShards(w.Retention, w.Shards())
 	for _, d := range laneDirs {
 		log, recovered, err := wal.Open(filepath.Join(dir, d), opts)
 		if err != nil {
-			return fmt.Errorf("monitor: open wal lane %s: %w", d, err)
+			return err
 		}
 		*torn += recovered.TornBytes
 		_, _, err = recoverLog(recovered, scratch)
-		if cerr := log.Close(); err == nil && cerr != nil {
-			err = cerr
+		if err = errors.Join(err, log.Close()); err != nil {
+			return err
+		}
+	}
+	tmp := filepath.Join(dir, reshardDir+".tmp")
+	for i := range scratch.shards {
+		log, _, err := wal.Open(laneDir(tmp, i), opts)
+		if err == nil {
+			payload, _ := scratch.snapshotShard(i)
+			err = errors.Join(log.Checkpoint(payload), log.Close())
 		}
 		if err != nil {
 			return err
 		}
 	}
-	root, _, err := wal.Open(dir, opts)
-	if err != nil {
-		return fmt.Errorf("monitor: open legacy wal: %w", err)
-	}
-	var buf bytes.Buffer
-	err = scratch.Snapshot(&buf)
-	if err == nil {
-		err = root.Checkpoint(buf.Bytes())
-	}
-	if cerr := root.Close(); err == nil && cerr != nil {
-		err = cerr
-	}
-	if err != nil {
-		return fmt.Errorf("monitor: fold wal lanes: %w", err)
-	}
-	for _, d := range laneDirs {
-		if err := fs.RemoveAll(filepath.Join(dir, d)); err != nil {
-			return fmt.Errorf("monitor: clear stale wal lanes: %w", err)
-		}
-	}
-	return nil
-}
-
-// commitMigration checkpoints every lane (making the lanes authoritative),
-// syncs the marker, and removes the root-level legacy files and marker.
-// The root is rescanned rather than trusting the open-time listing,
-// because recovery and folding may have rewritten the root files.
-func (wl *WarehouseLog) commitMigration(dir string) error {
-	for i := range wl.lanes {
-		wl.lanes[i].mu.Lock()
-		err := wl.checkpointLane(i)
-		wl.lanes[i].mu.Unlock()
-		if err != nil {
-			return err
-		}
-	}
-	legacy, _, _, err := scanWALDir(wl.fs, dir)
-	if err != nil {
+	if err := fs.SyncDir(tmp); err != nil {
 		return err
 	}
-	marker := filepath.Join(dir, legacyMigratedMarker)
-	f, err := fsx.Create(wl.fs, marker)
+	if err := fs.Rename(tmp, filepath.Join(dir, reshardDir)); err != nil {
+		return err
+	}
+	return fs.SyncDir(dir)
+}
+
+// finishReshard swaps committed new lanes in for the old laneDirs, and
+// may rerun after a crash. Lanes move in name order, so while any remains
+// staged the last-named does and bounds the new layout: old lanes named
+// after it go first, then each staged lane replaces its namesake.
+func finishReshard(fs fsx.FS, dir string, laneDirs []string) error {
+	staging := filepath.Join(dir, reshardDir)
+	staged, err := fs.ReadDir(staging)
+	for _, d := range laneDirs {
+		if err == nil && len(staged) > 0 && d > staged[len(staged)-1].Name() {
+			err = fs.RemoveAll(filepath.Join(dir, d))
+		}
+	}
+	for _, e := range staged {
+		if lane := filepath.Join(dir, e.Name()); err == nil {
+			if err = fs.RemoveAll(lane); err == nil {
+				err = fs.Rename(filepath.Join(staging, e.Name()), lane)
+			}
+		}
+	}
 	if err == nil {
-		err = f.Sync()
-		if cerr := f.Close(); err == nil {
-			err = cerr
+		if err = fs.SyncDir(dir); err == nil {
+			err = fs.RemoveAll(staging)
 		}
 	}
-	if err != nil {
-		return fmt.Errorf("monitor: commit wal migration: %w", err)
-	}
-	for _, name := range legacy {
-		if err := wl.fs.Remove(filepath.Join(dir, name)); err != nil {
-			return fmt.Errorf("monitor: finish wal migration: %w", err)
-		}
-	}
-	if err := wl.fs.Remove(marker); err != nil {
-		return fmt.Errorf("monitor: finish wal migration: %w", err)
-	}
-	return nil
+	return err
 }
 
 // journal persists one lane's run of accepted samples as one WAL record
@@ -361,9 +260,8 @@ func (wl *WarehouseLog) commitMigration(dir string) error {
 // records back to back, copied from the frame when the run came in one.
 // Running the insert under the lane mutex keeps that lane and its shard in
 // lockstep: a lane checkpoint always covers exactly the shard samples
-// already visible, so compaction can never drop a
-// journaled-but-uncheckpointed sample. A torn record recovers as a whole
-// run or not at all.
+// already visible, so compaction can never drop a journaled but
+// uncheckpointed sample. A torn record recovers as a whole run or not at all.
 func (wl *WarehouseLog) journal(k int, r laneRun) error {
 	lane := &wl.lanes[k]
 	lane.mu.Lock()
@@ -414,8 +312,7 @@ func (wl *WarehouseLog) checkpointLane(i int) error {
 	return nil
 }
 
-// Sync flushes buffered appends on every lane (a no-op under
-// fsync=always).
+// Sync flushes buffered appends on every lane (a no-op under fsync=always).
 func (wl *WarehouseLog) Sync() error {
 	for i := range wl.lanes {
 		if err := wl.lanes[i].log.Sync(); err != nil {
@@ -433,25 +330,17 @@ func (wl *WarehouseLog) Close() error {
 	for i := range wl.lanes {
 		wl.lanes[i].mu.Lock()
 		err := wl.checkpointLane(i)
-		if cerr := wl.lanes[i].log.Close(); err == nil {
-			err = cerr
-		}
+		first = cmp.Or(first, err, wl.lanes[i].log.Close())
 		wl.lanes[i].mu.Unlock()
-		if first == nil {
-			first = err
-		}
 	}
 	return first
 }
 
 // RecoveryStat describes what opening the log reconstructed.
 type RecoveryStat struct {
-	// Restored is how many samples came from checkpoints.
-	Restored int
-	// Replayed is how many came from WAL records after them.
-	Replayed int
-	// TornBytes is the total size of discarded torn tails, if any.
-	TornBytes int64
+	Restored  int   // samples that came from checkpoints
+	Replayed  int   // samples that came from WAL records after them
+	TornBytes int64 // total size of discarded torn tails, if any
 }
 
 // Recovery reports the open-time recovery outcome.
@@ -459,10 +348,9 @@ func (wl *WarehouseLog) Recovery() RecoveryStat {
 	return RecoveryStat{Restored: wl.restored, Replayed: wl.replayed, TornBytes: wl.torn}
 }
 
-// BytesWritten sums the lanes' write counters (the crash wall's
-// kill-point coordinate system). Lanes are opened deterministically and a
-// single-writer ingest stream appends deterministically, so the counter
-// is reproducible across runs the way the crash wall requires.
+// BytesWritten sums the lanes' write counters, the crash wall's kill-point
+// coordinates. Lanes open and a single-writer stream appends
+// deterministically, so the counter reproduces across runs.
 func (wl *WarehouseLog) BytesWritten() int64 {
 	var total int64
 	for i := range wl.lanes {

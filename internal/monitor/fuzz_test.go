@@ -5,7 +5,8 @@ import (
 	"testing"
 )
 
-// FuzzRestore hardens the binary checkpoint/snapshot decoder: arbitrary
+// FuzzRestore hardens restore, the binary decoder every lane checkpoint
+// goes through at recovery (and Snapshot output reads back with): arbitrary
 // bytes must never panic the warehouse, input without the snapshot magic
 // (a JSON checkpoint from an older build) must be rejected whole, an
 // accepted input never yields more samples than it has complete records,
@@ -31,7 +32,7 @@ func FuzzRestore(f *testing.F) {
 	f.Add("not json at all")
 	f.Fuzz(func(t *testing.T, input string) {
 		w := NewWarehouse(0)
-		n, err := w.Restore(strings.NewReader(input))
+		n, err := w.restore([]byte(input))
 		if input != "" && !strings.HasPrefix(input, snapshotMagic) {
 			if err == nil || n != 0 || w.Stats().Samples != 0 {
 				t.Fatalf("input without the magic: restored %d (%d stored), err %v", n, w.Stats().Samples, err)

@@ -5,7 +5,6 @@ import (
 	"context"
 	"math"
 	"net"
-	"strings"
 	"testing"
 	"time"
 
@@ -388,7 +387,7 @@ func TestSnapshotRestore(t *testing.T) {
 		t.Fatal(err)
 	}
 	restored := NewWarehouse(0)
-	n, err := restored.Restore(&buf)
+	n, err := restored.restore(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -416,11 +415,11 @@ func TestSnapshotRestore(t *testing.T) {
 
 func TestRestoreErrors(t *testing.T) {
 	w := NewWarehouse(0)
-	if _, err := w.Restore(strings.NewReader("not json\n")); err == nil {
+	if _, err := w.restore([]byte("not json\n")); err == nil {
 		t.Error("expected error for malformed snapshot")
 	}
 	// A truncated-but-valid prefix restores what it has.
-	n, err := w.Restore(strings.NewReader(""))
+	n, err := w.restore(nil)
 	if err != nil || n != 0 {
 		t.Errorf("empty restore = %d, %v", n, err)
 	}

@@ -10,6 +10,7 @@ import (
 	"math/rand"
 	"net"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -258,6 +259,43 @@ func TestReplicaEquivalenceWall(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestHourlySeriesFarEpoch reads five hourly samples through an epoch
+// more than 292 years before them, where time.Time.Sub saturates: the
+// scan must still place each sample in its own hour, matching the read at
+// an aligned epoch bit for bit.
+func TestHourlySeriesFarEpoch(t *testing.T) {
+	w := NewWarehouse(0)
+	for h := 0; h < 5; h++ {
+		w.Ingest(Sample{Server: "far", Timestamp: epoch.Add(time.Duration(h) * time.Hour),
+			TotalProcessorPct: float64(10 * (h + 1)), MemCommittedMB: float64(100 * (h + 1))})
+	}
+	spec := trace.Spec{CPURPE2: 1000, MemMB: 4096}
+	aligned, err := w.HourlySeries("far", spec, epoch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if aligned.Len() != 5 {
+		t.Fatalf("aligned read: %d hours, want 5", aligned.Len())
+	}
+	for _, far := range []time.Time{
+		time.Date(1500, 1, 1, 0, 0, 0, 0, time.UTC),
+		time.Date(1500, 1, 1, 0, 0, 0, 999_999_999, time.UTC), // borrows a second
+	} {
+		got, err := w.HourlySeries("far", spec, far)
+		if err != nil {
+			t.Fatal(err)
+		}
+		equalSeries(t, "epoch "+far.String(), aligned, got)
+	}
+	// A store spanning more hours than a time.Duration holds fails the
+	// read rather than allocating them all.
+	w.Ingest(Sample{Server: "wide", Timestamp: epoch, TotalProcessorPct: 1, MemCommittedMB: 1})
+	w.Ingest(Sample{Server: "wide", Timestamp: epoch.AddDate(300, 0, 0), TotalProcessorPct: 1, MemCommittedMB: 1})
+	if _, err := w.HourlySeries("wide", spec, epoch); err == nil || !strings.Contains(err.Error(), "would span") {
+		t.Fatalf("300-year store: err = %v, want the span refused", err)
 	}
 }
 

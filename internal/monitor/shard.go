@@ -1,6 +1,7 @@
 package monitor
 
 import (
+	"fmt"
 	"math"
 	"slices"
 	"sort"
@@ -426,6 +427,22 @@ func timeColumn(ns []int64, ts []time.Time) func(int) time.Time {
 	return func(i int) time.Time { return time.Unix(0, ns[i]) }
 }
 
+// maxSeriesHours bounds the span of a scanned series at what a
+// time.Duration holds (~292 years), so a store spanning millennia fails
+// the read instead of allocating its every hour.
+const maxSeriesHours = int(math.MaxInt64 / hourNanos)
+
+// hoursSince is the whole hours from epoch to t, for t not before epoch,
+// in exact floor arithmetic on Unix seconds and nanoseconds: it does not
+// saturate the way time.Time.Sub does past ~292 years.
+func hoursSince(epoch, t time.Time) int {
+	secs := t.Unix() - epoch.Unix()
+	if t.Nanosecond() < epoch.Nanosecond() {
+		secs-- // borrow a second: the remainder is under one
+	}
+	return int(secs / 3600)
+}
+
 // scanHourly is the scan-and-bucket read for what the buckets cannot
 // answer: each sample is scaled before summation, as the pre-bucket
 // warehouse did. Any sample before the epoch is an error.
@@ -434,10 +451,13 @@ func scanHourly(dst []trace.Usage, at func(int) time.Time, cpu, mem []float64, s
 	if at(0).Before(epoch) {
 		return nil, errPrecedeEpoch
 	}
-	first := int(at(0).Sub(epoch) / time.Hour)
-	buckets := make([]hourAgg, int(at(n-1).Sub(epoch)/time.Hour)-first+1)
+	first, last := hoursSince(epoch, at(0)), hoursSince(epoch, at(n-1))
+	if last-first >= maxSeriesHours {
+		return nil, fmt.Errorf("monitor: hourly series would span %d hours, more than the %d a read returns", last-first+1, maxSeriesHours)
+	}
+	buckets := make([]hourAgg, last-first+1)
 	for i := 0; i < n; i++ {
-		b := &buckets[int(at(i).Sub(epoch)/time.Hour)-first]
+		b := &buckets[hoursSince(epoch, at(i))-first]
 		b.sumPct += cpu[i] / 100 * spec.CPURPE2
 		b.sumMem += mem[i]
 		b.n++

@@ -6,11 +6,17 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"io/fs"
+	"maps"
+	"math/big"
 	"math/rand"
 	"net"
 	"os"
+	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -72,6 +78,15 @@ func (r *refStore) ingest(s Sample) {
 	r.servers[s.Server] = list
 }
 
+// refHoursSince is floor((t - epoch) / 1h) in arbitrary precision, so it
+// neither saturates (time.Time.Sub does past ~292 years) nor shares the
+// warehouse's integer shortcut.
+func refHoursSince(epoch, t time.Time) int {
+	ns := new(big.Int).Mul(big.NewInt(t.Unix()-epoch.Unix()), big.NewInt(1e9))
+	ns.Add(ns, big.NewInt(int64(t.Nanosecond()-epoch.Nanosecond())))
+	return int(ns.Div(ns, big.NewInt(int64(time.Hour))).Int64())
+}
+
 // hourly mirrors the warehouse's two query paths exactly: the aligned-epoch
 // bucket read (sums accumulated left to right in storage order, scaled once
 // per hour) and the legacy scan (each sample scaled before summation).
@@ -112,15 +127,18 @@ func (r *refStore) hourly(id trace.ServerID, spec trace.Spec, epoch time.Time) (
 	if list[0].Timestamp.Before(epoch) {
 		return nil, errPrecedeEpoch
 	}
-	first := int(list[0].Timestamp.Sub(epoch) / time.Hour)
-	last := int(list[len(list)-1].Timestamp.Sub(epoch) / time.Hour)
+	first := refHoursSince(epoch, list[0].Timestamp)
+	last := refHoursSince(epoch, list[len(list)-1].Timestamp)
+	if last-first >= maxSeriesHours {
+		return nil, fmt.Errorf("monitor: hourly series would span %d hours, more than the %d a read returns", last-first+1, maxSeriesHours)
+	}
 	type bucket struct {
 		cpu, mem float64
 		n        int
 	}
 	buckets := make([]bucket, last-first+1)
 	for _, s := range list {
-		j := int(s.Timestamp.Sub(epoch)/time.Hour) - first
+		j := refHoursSince(epoch, s.Timestamp) - first
 		buckets[j].cpu += s.TotalProcessorPct / 100 * spec.CPURPE2
 		buckets[j].mem += s.MemCommittedMB
 		buckets[j].n++
@@ -622,27 +640,22 @@ func TestLoadGeneratorSoak(t *testing.T) {
 	}
 }
 
-// ---- WAL layout migration ----
+// ---- WAL layout ----
 
-// TestWarehouseLogLegacyMigration builds a pre-shard root-level WAL
-// (checkpoint + trailing records) and opens it with the laned layout: the
-// history must survive, the root files must be gone, and the lanes must be
-// authoritative from then on.
-func TestWarehouseLogLegacyMigration(t *testing.T) {
+// TestWarehouseLogRefusesRootLayout builds the old single-log layout (a
+// checkpoint plus trailing records at the directory root): opening it must
+// fail with the layout named, and leave every file as it was.
+func TestWarehouseLogRefusesRootLayout(t *testing.T) {
 	dir := t.TempDir()
 	seed := NewWarehouse(0)
 	for i := 0; i < 10; i++ {
 		seed.Ingest(synthSample(i))
 	}
-	var ckpt bytes.Buffer
-	if err := seed.Snapshot(&ckpt); err != nil {
-		t.Fatal(err)
-	}
 	root, _, err := wal.Open(dir, wal.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := root.Checkpoint(ckpt.Bytes()); err != nil {
+	if err := root.Checkpoint(snapshotBytes(t, seed)); err != nil {
 		t.Fatal(err)
 	}
 	for i := 10; i < 20; i++ {
@@ -654,48 +667,78 @@ func TestWarehouseLogLegacyMigration(t *testing.T) {
 	if err := root.Close(); err != nil {
 		t.Fatal(err)
 	}
+	before := treeBytes(t, dir)
 
-	w := NewWarehouse(0)
-	wl, err := OpenWarehouseLog(w, dir, 64, wal.Options{})
-	if err != nil {
-		t.Fatalf("migration open: %v", err)
+	_, err = OpenWarehouseLog(NewWarehouse(0), dir, 64, wal.Options{})
+	if err == nil || !strings.Contains(err.Error(), "single-log WAL layout") {
+		t.Fatalf("open of a root-layout dir: err = %v, want the layout named", err)
 	}
-	rec := wl.Recovery()
-	if rec.Restored != 10 || rec.Replayed != 10 {
-		t.Fatalf("migrated %d restored + %d replayed, want 10 + 10", rec.Restored, rec.Replayed)
+	if after := treeBytes(t, dir); !maps.Equal(after, before) {
+		t.Fatalf("refused open changed the directory:\nbefore %v\nafter  %v", slices.Sorted(maps.Keys(before)), slices.Sorted(maps.Keys(after)))
 	}
-	legacy, laneDirs, marker, err := scanWALDir(fsx.OS, dir)
+}
+
+// TestWarehouseLogIgnoresForeignEntries: a directory whose name merely
+// starts like a lane's is not a lane. Opens at either shard count, a
+// re-lane included, must neither read it nor touch it.
+func TestWarehouseLogIgnoresForeignEntries(t *testing.T) {
+	dir := t.TempDir()
+	foreign := filepath.Join(dir, "shard-000.bak")
+	if err := os.MkdirAll(foreign, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(foreign, "notes"), []byte("keep"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	before := treeBytes(t, foreign)
+	var want []byte
+	for _, shards := range []int{8, 3, 3} {
+		w := NewWarehouseShards(0, shards)
+		wl, err := OpenWarehouseLog(w, dir, 16, wal.Options{})
+		if err != nil {
+			t.Fatalf("open at %d shards: %v", shards, err)
+		}
+		if want == nil {
+			for i := 0; i < 30; i++ {
+				if err := w.IngestDurable(synthSample(i)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			want = snapshotBytes(t, w)
+		} else if !bytes.Equal(snapshotBytes(t, w), want) {
+			t.Fatalf("open at %d shards diverges from the store that wrote the log", shards)
+		}
+		if err := wl.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if after := treeBytes(t, foreign); !maps.Equal(after, before) {
+		t.Fatal("opens changed a directory that is not a lane")
+	}
+}
+
+// treeBytes maps every file under dir (by relative path) to its contents,
+// and every directory to "/".
+func treeBytes(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	tree := make(map[string]string)
+	err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || path == dir {
+			return err
+		}
+		rel, _ := filepath.Rel(dir, path)
+		if d.IsDir() {
+			tree[rel] = "/"
+			return nil
+		}
+		b, err := os.ReadFile(path)
+		tree[rel] = string(b)
+		return err
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(legacy) != 0 || marker {
-		t.Fatalf("migration left root files %v (marker=%v)", legacy, marker)
-	}
-	if len(laneDirs) != w.Shards() {
-		t.Fatalf("%d lane dirs after migration, want %d", len(laneDirs), w.Shards())
-	}
-	// The lanes keep journaling, and a post-migration reopen restores
-	// everything from them alone.
-	if err := w.IngestDurable(synthSample(20)); err != nil {
-		t.Fatalf("ingest after migration: %v", err)
-	}
-	want := snapshotBytes(t, w)
-	if err := wl.Close(); err != nil {
-		t.Fatal(err)
-	}
-	w2 := NewWarehouse(0)
-	wl2, err := OpenWarehouseLog(w2, dir, 64, wal.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer wl2.Close()
-	rec2 := wl2.Recovery()
-	if rec2.Restored != 21 || rec2.Replayed != 0 {
-		t.Fatalf("reopen recovered %d + %d, want 21 + 0", rec2.Restored, rec2.Replayed)
-	}
-	if got := snapshotBytes(t, w2); !bytes.Equal(got, want) {
-		t.Fatal("post-migration reopen diverges from the pre-close warehouse")
-	}
+	return tree
 }
 
 // TestWarehouseLogShardCountChange reopens an 8-lane log with a 3-shard
@@ -731,7 +774,7 @@ func TestWarehouseLogShardCountChange(t *testing.T) {
 	if got := snapshotBytes(t, w3); !bytes.Equal(got, want) {
 		t.Fatal("shard-count change lost or reordered samples")
 	}
-	_, laneDirs, _, err := scanWALDir(fsx.OS, dir)
+	laneDirs, _, err := scanWALDir(fsx.OS, dir)
 	if err != nil {
 		t.Fatal(err)
 	}

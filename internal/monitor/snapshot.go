@@ -145,11 +145,13 @@ func encodeSnapshot(shards []shard, n int) []byte {
 }
 
 // Snapshot writes every retained sample in the binary snapshot format,
-// ordered by server and timestamp — the warehouse's durability path, so a
-// restarted central server does not lose its 30-day planning history. It
-// encodes under every shard lock (taken in shard index order; no other
-// path holds two shard locks at once), so the payload is a consistent
-// point-in-time cut, and it is byte-deterministic.
+// ordered by server and timestamp. It is not a durability path (the
+// journal lanes are, see WarehouseLog): it is the byte-identity oracle
+// that recovery tests and the disk wall compare warehouses by, since the
+// bytes do not depend on the shard count. It encodes under every shard
+// lock (taken in shard index order; no other path holds two shard locks
+// at once), so the payload is a consistent point-in-time cut, and it is
+// byte-deterministic.
 func (w *Warehouse) Snapshot(out io.Writer) error {
 	total := 0
 	for i := range w.shards {
@@ -176,19 +178,11 @@ func (w *Warehouse) snapshotShard(k int) ([]byte, int) {
 	return encodeSnapshot(w.shards[k:k+1], sh.samples), sh.samples
 }
 
-// Restore ingests a snapshot previously written by Snapshot, applying the
-// warehouse's usual validation and retention. It returns the number of
-// samples read. Empty input is an empty snapshot; input without the
-// snapshot magic is rejected before anything is ingested.
-func (w *Warehouse) Restore(in io.Reader) (int, error) {
-	b, err := io.ReadAll(in)
-	if err != nil {
-		return 0, fmt.Errorf("monitor: restore: %w", err)
-	}
-	return w.restore(b)
-}
-
-// restore is Restore over an in-memory payload (a lane checkpoint).
+// restore ingests a snapshot payload (a lane checkpoint, or Snapshot's
+// output), applying the warehouse's usual validation and retention, and
+// returns the number of samples read. An empty payload is an empty
+// snapshot; one without the snapshot magic is rejected before anything is
+// ingested.
 func (w *Warehouse) restore(b []byte) (int, error) {
 	if len(b) == 0 {
 		return 0, nil

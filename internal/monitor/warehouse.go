@@ -439,7 +439,7 @@ func (w *Warehouse) serveConn(conn net.Conn) {
 // refilling up to burst. rate == 0 with a positive burst freezes the
 // budget — exactly burst samples admitted, ever — which makes shed counts
 // deterministic for the chaos wall. In-process Ingest/IngestBatch calls,
-// snapshot Restore and journal replay are never limited: the limiter
+// checkpoint restore and journal replay are never limited: the limiter
 // protects the socket door, not recovery.
 func (w *Warehouse) SetIngestLimit(rate float64, burst int) {
 	if burst <= 0 {

@@ -351,9 +351,10 @@ type (
 	// MonitorAgent is the per-server collector, a ReliableSender fed on
 	// a ticker.
 	MonitorAgent = monitor.Agent
-	// Warehouse is the central monitoring store. Its Snapshot and Restore
-	// write and read the binary sample snapshot its WAL lane checkpoints
-	// use; JSON snapshots from older builds are rejected, not loaded.
+	// Warehouse is the central monitoring store. OpenWarehouseLog makes
+	// it durable; its Snapshot writes the binary sample form the journal's
+	// lane checkpoints use, as a shard-count-independent byte image for
+	// comparing two stores.
 	Warehouse = monitor.Warehouse
 )
 
@@ -411,8 +412,9 @@ type (
 	WALOptions = wal.Options
 	// SyncPolicy selects when the WAL reaches the disk.
 	SyncPolicy = wal.SyncPolicy
-	// WarehouseLog journals warehouse ingestion (one binary record per
-	// sample) and checkpoints its state.
+	// WarehouseLog journals warehouse ingestion in one lane per shard
+	// (one binary record per sample) and checkpoints each lane; it is the
+	// warehouse's only durable form.
 	WarehouseLog = monitor.WarehouseLog
 	// WarehouseRecovery summarizes what OpenWarehouseLog reconstructed.
 	WarehouseRecovery = monitor.RecoveryStat
@@ -434,9 +436,9 @@ const (
 func ParseSyncPolicy(s string) (SyncPolicy, error) { return wal.ParseSyncPolicy(s) }
 
 // OpenWarehouseLog recovers the journal in dir into w (checkpoint restore
-// plus WAL replay) and then journals every accepted sample, checkpointing
-// each lane in proportion to its shard size with checkpointEvery appends
-// as the floor.
+// plus WAL replay, after re-laning a log written at another shard count)
+// and then journals every accepted sample, checkpointing each lane in
+// proportion to its shard size with checkpointEvery appends as the floor.
 func OpenWarehouseLog(w *Warehouse, dir string, checkpointEvery int, opts WALOptions) (*WarehouseLog, error) {
 	return monitor.OpenWarehouseLog(w, dir, checkpointEvery, opts)
 }
