@@ -1,20 +1,28 @@
-// Command vmwild is the CLI for the consolidation-study library. It exposes
-// the paper's experiments as subcommands:
+// Command vmwild is the offline CLI for the consolidation-study library:
+// the paper's experiments, the full reproduction report and the synthetic
+// traces, one subcommand each:
 //
-//	vmwild analyze     -workload A    # burstiness + resource-ratio study (Figures 1-6)
-//	vmwild compare     -workload A    # planner comparison (Figures 7-12)
-//	vmwild sensitivity -workload A    # migration-reservation sweep (Figures 13-16)
-//	vmwild migrate     -mem 2048 -dirty 40   # live-migration pre-copy model
-//	vmwild recommend   -workload A    # consolidation-mode advisor (Section 8)
-//	vmwild execute     -workload A    # do the migration waves fit the interval?
-//	vmwild scenario    run flash-crowd       # end-to-end scenario with checkpoints
-//	vmwild report                     # the full reproduction, all tables and figures
+//	vmwild analyze     -workload A          # burstiness + resource-ratio study (Figures 1-6)
+//	vmwild compare     -workload A          # planner comparison (Figures 7-12)
+//	vmwild sensitivity -workload A          # migration-reservation sweep (Figures 13-16)
+//	vmwild migrate     -mem 2048 -dirty 40  # live-migration pre-copy model
+//	vmwild recommend   -workload A          # consolidation-mode advisor (Section 8)
+//	vmwild execute     -workload A          # do the migration waves fit the interval?
+//	vmwild scenario    run flash-crowd      # end-to-end scenario with checkpoints
+//	vmwild report      -parallel 4          # the full reproduction, all tables and figures
+//	vmwild tracegen    -workload B -o b.csv # the synthetic traces as CSV
+//
+// The list is the commands table below; TestPackageDocListsCommands keeps
+// the two equal.
 package main
 
 import (
+	"bufio"
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"strings"
 
 	"vmwild"
 	"vmwild/internal/migration"
@@ -22,37 +30,60 @@ import (
 	"vmwild/internal/stats"
 )
 
+// command is one subcommand: its name, an example invocation and what it
+// does. Dispatch, the usage text and the package documentation all come
+// from the commands table.
+type command struct {
+	name, example, summary string
+	run                    func(args []string, stdout io.Writer) error
+}
+
+var commands = []command{
+	{"analyze", "-workload A", "burstiness + resource-ratio study (Figures 1-6)", analyze},
+	{"compare", "-workload A", "planner comparison (Figures 7-12)", compare},
+	{"sensitivity", "-workload A", "migration-reservation sweep (Figures 13-16)", sensitivity},
+	{"migrate", "-mem 2048 -dirty 40", "live-migration pre-copy model", migrate},
+	{"recommend", "-workload A", "consolidation-mode advisor (Section 8)", recommend},
+	{"execute", "-workload A", "do the migration waves fit the interval?", execute},
+	{"scenario", "run flash-crowd", "end-to-end scenario with checkpoints", scenarioCmd},
+	{"report", "-parallel 4", "the full reproduction, all tables and figures", fullReport},
+	{"tracegen", "-workload B -o b.csv", "the synthetic traces as CSV", tracegen},
+}
+
+// line renders the command as one line of the usage text.
+func (c command) line() string {
+	return fmt.Sprintf("vmwild %-11s %-20s # %s", c.name, c.example, c.summary)
+}
+
+// usage is the error for a missing subcommand: every name, then one
+// example line per command.
+func usage() error {
+	names := make([]string, len(commands))
+	lines := make([]string, len(commands))
+	for i, c := range commands {
+		names[i] = c.name
+		lines[i] = "\t" + c.line()
+	}
+	return fmt.Errorf("usage: vmwild <%s> [flags]\n%s", strings.Join(names, "|"), strings.Join(lines, "\n"))
+}
+
 func main() {
-	if err := run(os.Args[1:]); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "vmwild:", err)
 		os.Exit(1)
 	}
 }
 
-func run(args []string) error {
+func run(args []string, stdout io.Writer) error {
 	if len(args) == 0 {
-		return fmt.Errorf("usage: vmwild <analyze|compare|sensitivity|migrate|scenario|report> [flags]")
+		return usage()
 	}
-	switch args[0] {
-	case "analyze":
-		return analyze(args[1:])
-	case "compare":
-		return compare(args[1:])
-	case "sensitivity":
-		return sensitivity(args[1:])
-	case "migrate":
-		return migrate(args[1:])
-	case "recommend":
-		return recommend(args[1:])
-	case "execute":
-		return execute(args[1:])
-	case "scenario":
-		return scenarioCmd(args[1:])
-	case "report":
-		return fullReport(args[1:])
-	default:
-		return fmt.Errorf("unknown subcommand %q", args[0])
+	for _, c := range commands {
+		if c.name == args[0] {
+			return c.run(args[1:], stdout)
+		}
 	}
+	return fmt.Errorf("unknown subcommand %q", args[0])
 }
 
 func profileByName(name string) (*vmwild.Profile, error) {
@@ -89,7 +120,7 @@ func newStudy(o studyOpts) (*vmwild.Study, error) {
 	return vmwild.NewStudy(p, vmwild.WithSeed(*o.seed))
 }
 
-func analyze(args []string) error {
+func analyze(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("analyze", flag.ContinueOnError)
 	opts := studyFlags(fs)
 	if err := fs.Parse(args); err != nil {
@@ -109,7 +140,7 @@ func analyze(args []string) error {
 	for _, b := range bursty {
 		t.AddRow(string(b.ID), b.AvgUtil, b.PeakUtil, b.PeakToAvg, b.CoV)
 	}
-	if err := t.Render(os.Stdout); err != nil {
+	if err := t.Render(w); err != nil {
 		return err
 	}
 
@@ -137,7 +168,7 @@ func analyze(args []string) error {
 	if err != nil {
 		return err
 	}
-	if err := t.Render(os.Stdout); err != nil {
+	if err := t.Render(w); err != nil {
 		return err
 	}
 
@@ -154,7 +185,7 @@ func analyze(args []string) error {
 	if err != nil {
 		return err
 	}
-	if err := t.Render(os.Stdout); err != nil {
+	if err := t.Render(w); err != nil {
 		return err
 	}
 
@@ -162,19 +193,19 @@ func analyze(args []string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("\nAggregate CPU/memory ratio (Figure 6): p10=%.0f p50=%.0f p90=%.0f RPE2/GB; memory-bound in %.0f%% of intervals (blade ratio %.0f)\n",
+	fmt.Fprintf(w, "\nAggregate CPU/memory ratio (Figure 6): p10=%.0f p50=%.0f p90=%.0f RPE2/GB; memory-bound in %.0f%% of intervals (blade ratio %.0f)\n",
 		ratio.CDF.Quantile(0.10), ratio.CDF.Median(), ratio.CDF.Quantile(0.90), ratio.MemoryBoundFrac*100, ratio.BladeRatio)
 
 	daily, weekly, err := study.Seasonality()
 	if err != nil {
 		return err
 	}
-	fmt.Printf("Seasonality (autocorrelation): daily median %.2f, weekly median %.2f\n",
+	fmt.Fprintf(w, "Seasonality (autocorrelation): daily median %.2f, weekly median %.2f\n",
 		daily.Median(), weekly.Median())
 	return nil
 }
 
-func compare(args []string) error {
+func compare(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("compare", flag.ContinueOnError)
 	opts := studyFlags(fs)
 	if err := fs.Parse(args); err != nil {
@@ -194,7 +225,7 @@ func compare(args []string) error {
 	for _, r := range rows {
 		t.AddRow(r.Planner, r.Hosts, r.NormSpace, r.AvgPowerW, r.NormPower, r.Migrations)
 	}
-	if err := t.Render(os.Stdout); err != nil {
+	if err := t.Render(w); err != nil {
 		return err
 	}
 
@@ -206,7 +237,7 @@ func compare(args []string) error {
 	for _, r := range cont {
 		t.AddRow(r.Planner, r.Hours, r.Fraction)
 	}
-	if err := t.Render(os.Stdout); err != nil {
+	if err := t.Render(w); err != nil {
 		return err
 	}
 
@@ -219,7 +250,7 @@ func compare(args []string) error {
 	for _, u := range utils {
 		t.AddRow(u.Planner, u.Avg.Median(), u.Peak.Median(), u.Peak.Quantile(0.90), u.FracPeakOver1)
 	}
-	if err := t.Render(os.Stdout); err != nil {
+	if err := t.Render(w); err != nil {
 		return err
 	}
 
@@ -227,12 +258,12 @@ func compare(args []string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("\nActive-server fraction under dynamic (Figure 12): min=%.2f p50=%.2f max=%.2f\n",
+	fmt.Fprintf(w, "\nActive-server fraction under dynamic (Figure 12): min=%.2f p50=%.2f max=%.2f\n",
 		active.Quantile(0), active.Median(), active.Quantile(1))
 	return nil
 }
 
-func sensitivity(args []string) error {
+func sensitivity(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("sensitivity", flag.ContinueOnError)
 	opts := studyFlags(fs)
 	if err := fs.Parse(args); err != nil {
@@ -251,10 +282,10 @@ func sensitivity(args []string) error {
 	for _, pt := range sens.Points {
 		t.AddRow(pt.Bound, pt.DynamicHosts)
 	}
-	return t.Render(os.Stdout)
+	return t.Render(w)
 }
 
-func migrate(args []string) error {
+func migrate(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("migrate", flag.ContinueOnError)
 	mem := fs.Float64("mem", 2048, "VM active memory in MB")
 	dirty := fs.Float64("dirty", 40, "page dirty rate in MB/s")
@@ -268,13 +299,13 @@ func migrate(args []string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("pre-copy migration of %.0f MB at %.0f MB/s dirty rate over a %.0f MB/s link:\n", *mem, *dirty, *link)
-	fmt.Printf("  duration   %v\n  downtime   %v\n  rounds     %d\n  transferred %.0f MB\n  converged  %v\n",
+	fmt.Fprintf(w, "pre-copy migration of %.0f MB at %.0f MB/s dirty rate over a %.0f MB/s link:\n", *mem, *dirty, *link)
+	fmt.Fprintf(w, "  duration   %v\n  downtime   %v\n  rounds     %d\n  transferred %.0f MB\n  converged  %v\n",
 		res.Duration.Round(1e7), res.Downtime.Round(1e6), res.Rounds, res.TransferredMB, res.Converged)
 	return nil
 }
 
-func recommend(args []string) error {
+func recommend(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("recommend", flag.ContinueOnError)
 	opts := studyFlags(fs)
 	if err := fs.Parse(args); err != nil {
@@ -288,7 +319,7 @@ func recommend(args []string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("workload %s -> %s consolidation"+"\n\n", *opts.workload, rec.Mode)
+	fmt.Fprintf(w, "workload %s -> %s consolidation"+"\n\n", *opts.workload, rec.Mode)
 	a := rec.Attributes
 	t := report.NewTable("measured attributes", "attribute", "value")
 	t.AddRow("heavy-tailed servers (CoV>=1)", a.HeavyTailFrac)
@@ -298,17 +329,17 @@ func recommend(args []string) error {
 	t.AddRow("correlation stability", a.CorrelationStability)
 	t.AddRow("p90 sizing slack", a.TailGainFrac)
 	t.AddRow("dynamic-friendly servers", a.DynamicFriendlyFrac)
-	if err := t.Render(os.Stdout); err != nil {
+	if err := t.Render(w); err != nil {
 		return err
 	}
-	fmt.Println("\nreasoning:")
+	fmt.Fprintln(w, "\nreasoning:")
 	for _, r := range rec.Reasons {
-		fmt.Printf("  - %s\n", r)
+		fmt.Fprintf(w, "  - %s\n", r)
 	}
 	return nil
 }
 
-func execute(args []string) error {
+func execute(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("execute", flag.ContinueOnError)
 	opts := studyFlags(fs)
 	if err := fs.Parse(args); err != nil {
@@ -328,14 +359,69 @@ func execute(args []string) error {
 		t.AddRow(r.Mechanism, r.P50.Round(1e9).String(), r.P95.Round(1e9).String(), r.Max.Round(1e9).String(),
 			r.InfeasibleFrac, r.AvgMoves, r.TotalDataGB)
 	}
-	return t.Render(os.Stdout)
+	return t.Render(w)
 }
 
-func fullReport(args []string) error {
-	fs := flag.NewFlagSet("report", flag.ContinueOnError)
-	seed := fs.Int64("seed", vmwild.DefaultSeed, "workload generator seed")
+// tracegen writes a data center's synthetic traces as CSV for use outside
+// the library (spreadsheets, other simulators). The layout is the one
+// vmwild.WriteTraceCSV writes and vmwild.ReadTraceCSV reads back: one row
+// per (server, hour) with server id, application, class, hardware
+// capacities, hour index, CPU demand (RPE2) and memory demand (MB).
+func tracegen(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("tracegen", flag.ContinueOnError)
+	opts := studyFlags(fs)
+	profilePath := fs.String("profile", "", "load a custom profile from this JSON file instead of -workload")
+	hours := fs.Int("hours", vmwild.HorizonHours, "hours of trace to generate")
+	out := fs.String("o", "", "output file (default stdout)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	return vmwild.WriteReport(os.Stdout, *seed)
+	var p *vmwild.Profile
+	var err error
+	if *profilePath != "" {
+		p, err = readProfile(*profilePath)
+	} else {
+		p, err = profileByName(*opts.workload)
+	}
+	if err != nil {
+		return err
+	}
+	if *opts.servers > 0 {
+		p.Servers = *opts.servers
+	}
+	set, err := vmwild.Generate(p, *hours, *opts.seed)
+	if err != nil {
+		return err
+	}
+
+	if *out == "" {
+		return writeCSV(stdout, set)
+	}
+	f, err := os.Create(*out)
+	if err != nil {
+		return err
+	}
+	if err := writeCSV(f, set); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
+}
+
+func readProfile(path string) (*vmwild.Profile, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	return vmwild.ReadProfileJSON(f)
+}
+
+// writeCSV writes set to w through one buffer and flushes it.
+func writeCSV(w io.Writer, set *vmwild.TraceSet) error {
+	bw := bufio.NewWriter(w)
+	if err := vmwild.WriteTraceCSV(bw, set); err != nil {
+		return err
+	}
+	return bw.Flush()
 }

@@ -1,8 +1,21 @@
-// Command experiments regenerates every table and figure of the paper's
-// evaluation and writes the full report to stdout — the source of
-// EXPERIMENTS.md:
-//
-//	go run ./cmd/experiments > experiments.txt
+package main
+
+import (
+	"context"
+	"encoding/json"
+	"flag"
+	"fmt"
+	"io"
+	"os"
+	"runtime"
+	"runtime/pprof"
+	"time"
+
+	"vmwild"
+)
+
+// fullReport regenerates every table and figure of the paper's evaluation
+// and writes the full report to stdout — the source of EXPERIMENTS.md.
 //
 // The experiment grid fans out across -parallel workers (default:
 // GOMAXPROCS); the report is byte-identical at every worker count for the
@@ -19,79 +32,29 @@
 // report run (CPU sampled throughout; heap snapshot at exit, after a GC),
 // for `go tool pprof`. Profile with -parallel 1 when attributing costs to
 // individual grid cells.
-package main
-
-import (
-	"context"
-	"encoding/json"
-	"flag"
-	"fmt"
-	"os"
-	"runtime"
-	"runtime/pprof"
-	"time"
-
-	"vmwild"
-)
-
-// benchCell is one grid cell's wall time.
-type benchCell struct {
-	Label string `json:"label"`
-	NS    int64  `json:"ns"`
-}
-
-// benchReport is the -bench-json document.
-type benchReport struct {
-	Schema  string      `json:"schema"`
-	Seed    int64       `json:"seed"`
-	Workers int         `json:"workers"`
-	TotalNS int64       `json:"total_ns"`
-	Cells   []benchCell `json:"cells"`
-	// Benchmarks carries go test -bench numbers (ns/op, B/op, allocs/op
-	// keyed by benchmark name and revision). The tool never computes them;
-	// it round-trips whatever the existing file holds so regenerating the
-	// timing profile does not lose the recorded baselines.
-	Benchmarks json.RawMessage `json:"benchmarks,omitempty"`
-}
-
-func main() {
-	seed := flag.Int64("seed", vmwild.DefaultSeed, "workload generator seed")
-	parallel := flag.Int("parallel", runtime.GOMAXPROCS(0), "experiment grid workers (1 = sequential)")
-	timeout := flag.Duration("timeout", 0, "abort the run after this duration (0 = no limit)")
-	quiet := flag.Bool("quiet", false, "suppress progress lines on stderr")
-	benchJSON := flag.String("bench-json", "", "write per-cell wall-time JSON to this path")
-	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this path")
-	memProfile := flag.String("memprofile", "", "write a pprof heap profile at exit to this path")
-	flag.Parse()
+func fullReport(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("report", flag.ContinueOnError)
+	seed := fs.Int64("seed", vmwild.DefaultSeed, "workload generator seed")
+	parallel := fs.Int("parallel", runtime.GOMAXPROCS(0), "experiment grid workers (1 = sequential)")
+	timeout := fs.Duration("timeout", 0, "abort the run after this duration (0 = no limit)")
+	quiet := fs.Bool("quiet", false, "suppress progress lines on stderr")
+	benchJSON := fs.String("bench-json", "", "write per-cell wall-time JSON to this path")
+	cpuProfile := fs.String("cpuprofile", "", "write a pprof CPU profile of the run to this path")
+	memProfile := fs.String("memprofile", "", "write a pprof heap profile at exit to this path")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "experiments: cpuprofile:", err)
-			os.Exit(1)
+			return fmt.Errorf("cpuprofile: %w", err)
 		}
+		defer f.Close()
 		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintln(os.Stderr, "experiments: cpuprofile:", err)
-			os.Exit(1)
+			return fmt.Errorf("cpuprofile: %w", err)
 		}
-		defer func() {
-			pprof.StopCPUProfile()
-			f.Close()
-		}()
-	}
-	if *memProfile != "" {
-		defer func() {
-			f, err := os.Create(*memProfile)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "experiments: memprofile:", err)
-				return
-			}
-			defer f.Close()
-			runtime.GC() // settle live heap before the snapshot
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintln(os.Stderr, "experiments: memprofile:", err)
-			}
-		}()
+		defer pprof.StopCPUProfile()
 	}
 
 	ctx := context.Background()
@@ -121,21 +84,59 @@ func main() {
 	}
 
 	start := time.Now()
-	if err := vmwild.WriteReportWith(ctx, os.Stdout, *seed, opts); err != nil {
-		fmt.Fprintln(os.Stderr, "experiments:", err)
-		os.Exit(1)
+	if err := vmwild.WriteReportWith(ctx, stdout, *seed, opts); err != nil {
+		return err
 	}
 	total := time.Since(start)
 	if *benchJSON != "" {
 		if err := writeBenchJSON(*benchJSON, *seed, *parallel, total, cells); err != nil {
-			fmt.Fprintln(os.Stderr, "experiments: bench-json:", err)
-			os.Exit(1)
+			return fmt.Errorf("bench-json: %w", err)
+		}
+	}
+	if *memProfile != "" {
+		if err := writeHeapProfile(*memProfile); err != nil {
+			return fmt.Errorf("memprofile: %w", err)
 		}
 	}
 	if !*quiet {
 		fmt.Fprintf(os.Stderr, "report complete in %.1fs (%d workers)\n",
 			total.Seconds(), *parallel)
 	}
+	return nil
+}
+
+// writeHeapProfile settles the live heap and writes its profile to path.
+func writeHeapProfile(path string) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	runtime.GC()
+	if err := pprof.WriteHeapProfile(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
+}
+
+// benchCell is one grid cell's wall time.
+type benchCell struct {
+	Label string `json:"label"`
+	NS    int64  `json:"ns"`
+}
+
+// benchReport is the -bench-json document.
+type benchReport struct {
+	Schema  string      `json:"schema"`
+	Seed    int64       `json:"seed"`
+	Workers int         `json:"workers"`
+	TotalNS int64       `json:"total_ns"`
+	Cells   []benchCell `json:"cells"`
+	// Benchmarks carries go test -bench numbers (ns/op, B/op, allocs/op
+	// keyed by benchmark name and revision). The tool never computes them;
+	// it round-trips whatever the existing file holds so regenerating the
+	// timing profile does not lose the recorded baselines.
+	Benchmarks json.RawMessage `json:"benchmarks,omitempty"`
 }
 
 // writeBenchJSON renders the timing profile, carrying over the benchmarks

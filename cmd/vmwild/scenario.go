@@ -4,7 +4,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"os"
 
 	"vmwild"
 )
@@ -15,15 +14,15 @@ import (
 //	vmwild scenario run                       # run them all
 //	vmwild scenario run -seed 7 flash-crowd   # one scenario, alternate seed
 //	vmwild scenario run -json soak-stress     # JSONL metric stream on stdout
-func scenarioCmd(args []string) error {
+func scenarioCmd(args []string, w io.Writer) error {
 	if len(args) == 0 {
 		return fmt.Errorf("usage: vmwild scenario <list|run> [flags] [id ...]")
 	}
 	switch args[0] {
 	case "list":
-		return scenarioList(args[1:], os.Stdout)
+		return scenarioList(args[1:], w)
 	case "run":
-		return scenarioRun(args[1:], os.Stdout)
+		return scenarioRun(args[1:], w)
 	default:
 		return fmt.Errorf("unknown scenario verb %q (want list or run)", args[0])
 	}

@@ -11,8 +11,8 @@
 //
 //   - Planning level: SemiStatic, Stochastic and Dynamic planners turn a
 //     monitoring window into a consolidation plan (servers to provision
-//     plus an hour-by-hour schedule), which Replay evaluates on an
-//     emulated data center (utilization, power, contention).
+//     plus an hour-by-hour schedule), which Study.PlanAndReplay evaluates
+//     on an emulated data center (utilization, power, contention).
 //
 //   - Study level: NewStudy wires workload, planners and emulator together
 //     and exposes every table and figure of the paper's evaluation;

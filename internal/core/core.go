@@ -89,18 +89,13 @@ type Input struct {
 	// data center. SizeDynamicDemands verifies server identity and
 	// monitoring length; results are byte-identical with or without it.
 	Histories *DemandHistories
-	// Correlations, when non-nil, supplies the stochastic planner's
-	// pairwise interval-peak correlation function precomputed by
-	// NewSharedCorrelation, letting plans over the same monitoring set
-	// (different host models, percentiles, correlation caps) share one
-	// peak-vector pass and one memo cache. It must have been built from
-	// this input's Monitoring set and interval. Ignored when
+	// CorrIndex, when non-nil, supplies the stochastic planner's pairwise
+	// interval-peak correlations precomputed by NewCorrTable over this
+	// input's Monitoring set and interval, letting plans over the same
+	// monitoring set (different host models, percentiles, correlation
+	// caps) share one peak-vector pass, and the packer skip two string
+	// hashes per probe through dense integer indices. Ignored when
 	// ClusterCorrelation is set; other planners ignore it.
-	Correlations placement.CorrFunc
-	// CorrIndex supplies the same correlations as Correlations through
-	// dense integer indices (a *CorrTable), letting the packer skip two
-	// string hashes per probe. Takes precedence over Correlations; values
-	// must agree. Ignored when ClusterCorrelation is set.
 	CorrIndex placement.CorrIndexer
 	// Envelopes, when non-nil, supplies the stochastic planner's body/tail
 	// envelope items precomputed over this input's Monitoring set at its

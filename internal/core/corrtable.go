@@ -137,15 +137,3 @@ func (t *CorrTable) Corr(a, b trace.ServerID) float64 {
 
 // Func adapts the table to the packer's functional interface.
 func (t *CorrTable) Func() placement.CorrFunc { return t.Corr }
-
-// NewSharedCorrelation builds the stochastic planner's interval-peak
-// correlation function for a monitoring set, with the memo shared safely
-// across concurrent plans. Values are identical to the inline path. Attach
-// it via Input.Correlations; NewCorrTable exposes the indexed fast path.
-func NewSharedCorrelation(set *trace.Set, intervalHours int) (placement.CorrFunc, error) {
-	t, err := NewCorrTable(set, intervalHours)
-	if err != nil {
-		return nil, err
-	}
-	return t.Func(), nil
-}

@@ -42,9 +42,6 @@ func (Stochastic) Plan(in Input) (*Plan, error) {
 		// Precomputed by NewCorrTable over the same monitoring set —
 		// same peak vectors, same stats.Correlation values.
 		corrIdx = in.CorrIndex
-	case in.Correlations != nil:
-		// Precomputed by NewSharedCorrelation; functional lookups only.
-		corr = in.Correlations
 	default:
 		var t *CorrTable
 		t, err = NewCorrTable(in.Monitoring, in.intervalHours())

@@ -365,7 +365,7 @@ func (c *Context) withCorrelations(in core.Input) core.Input {
 	if in.Monitoring != c.Monitoring {
 		return in
 	}
-	if in.Correlations == nil && in.CorrIndex == nil && !in.ClusterCorrelation {
+	if in.CorrIndex == nil && !in.ClusterCorrelation {
 		hours := in.IntervalHours
 		if hours == 0 {
 			hours = core.DefaultIntervalHours

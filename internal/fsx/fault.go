@@ -98,11 +98,11 @@ type Counters struct {
 	Writes, WrittenBytes int64
 	// WriteFaults counts injected torn writes; NoSpace counts writes or
 	// creates refused by the disk budget.
-	WriteFaults, NoSpace int64
-	Syncs, SyncFaults    int64
-	Closes, CloseFaults  int64
+	WriteFaults, NoSpace  int64
+	Syncs, SyncFaults     int64
+	Closes, CloseFaults   int64
 	Renames, RenameFaults int64
-	Reads, ReadCorrupts  int64
+	Reads, ReadCorrupts   int64
 	// Crashes counts Crash() calls; TornFiles how many files lost an
 	// unsynced tail across them.
 	Crashes, TornFiles int64

@@ -137,6 +137,7 @@ const effSlack = 1e-6
 //     under-prunes. Enumerated hosts still run the exact admission test, in
 //     the same leftmost-first order the naive scan probes, so the chosen
 //     host is identical.
+//
 //   - Correlation probes go through dense indices (CorrIdx) and per-host
 //     resident index lists, avoiding two string hashes per probe. The
 //     resident iteration order is the hostVMs order, identical to the

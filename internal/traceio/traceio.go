@@ -1,5 +1,5 @@
 // Package traceio persists trace sets as CSV, in the same column layout
-// cmd/tracegen emits:
+// `vmwild tracegen` emits:
 //
 //	server,app,class,cpu_rpe2_capacity,mem_mb_capacity,hour,cpu_rpe2,mem_mb
 //

@@ -1,9 +1,9 @@
 package vmwild
 
 import (
+	"vmwild/internal/advisor"
 	"vmwild/internal/analysis"
 	"vmwild/internal/core"
-	"vmwild/internal/emulator"
 	"vmwild/internal/experiments"
 )
 
@@ -95,13 +95,6 @@ func (s *Study) Plan(p Planner) (*Plan, error) {
 	return run.Plan, nil
 }
 
-// Replay evaluates a plan's schedule on the emulated data center over the
-// 14-day evaluation window.
-func (s *Study) Replay(plan *Plan) (*ReplayResult, error) {
-	hours := s.ctx.Evaluation.Servers[0].Series.Len()
-	return emulator.Run(s.ctx.Evaluation, plan.Schedule, hours, s.ctx.EmulatorConfig())
-}
-
 // PlanAndReplay runs a planner and replays its schedule, caching by planner
 // name.
 func (s *Study) PlanAndReplay(p Planner) (*Plan, *ReplayResult, error) {
@@ -180,30 +173,6 @@ func (s *Study) Sensitivity(bounds []float64) (SensitivityResult, error) {
 	return experiments.Sensitivity(s.ctx, bounds)
 }
 
-// IntervalStudy sweeps the dynamic consolidation interval (the Section 7
-// "shorter intervals" direction); nil intervals use 1, 2, 4 and 8 hours.
-func (s *Study) IntervalStudy(intervals []int) ([]IntervalPoint, error) {
-	return experiments.IntervalStudy(s.ctx, intervals)
-}
-
-// PredictorStudy ablates the dynamic planner's sizing predictor.
-func (s *Study) PredictorStudy() ([]PredictorPoint, error) {
-	return experiments.PredictorStudy(s.ctx)
-}
-
-// ImprovedMigrationStudy quantifies the Section 7 improved-migration
-// argument: lighter mechanisms shrink the reservation until dynamic
-// consolidation wins space too (Observation 7).
-func (s *Study) ImprovedMigrationStudy() ([]MechanismRow, error) {
-	return experiments.ImprovedMigrationStudy(s.ctx)
-}
-
-// BladeStudy compares target blade models (Observation 3's memory
-// extension contrast); nil models use HS23Elite vs HS23Standard.
-func (s *Study) BladeStudy(models []HostModel) ([]BladeRow, error) {
-	return experiments.BladeStudy(s.ctx, models)
-}
-
 // ExecutionStudy schedules the dynamic plan's migration waves under
 // pre-copy and post-copy migration and reports whether they fit the
 // consolidation interval (the Section 1.2 adoption question).
@@ -220,7 +189,7 @@ func (s *Study) VerifyEmulator() ([]VerificationResult, error) {
 // Recommend runs the consolidation advisor on the study's monitoring
 // window.
 func (s *Study) Recommend() (Recommendation, error) {
-	return Advise(s.ctx.Monitoring, AdvisorConfig{})
+	return advisor.Advise(s.ctx.Monitoring, advisor.Config{})
 }
 
 // OlioStudy reproduces the Section 4.1 Olio scaling micro-study.

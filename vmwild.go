@@ -8,14 +8,12 @@ import (
 	"vmwild/internal/advisor"
 	"vmwild/internal/analysis"
 	"vmwild/internal/catalog"
-	"vmwild/internal/chaos"
 	"vmwild/internal/constraints"
 	"vmwild/internal/controller"
 	"vmwild/internal/core"
 	"vmwild/internal/emulator"
 	"vmwild/internal/executor"
 	"vmwild/internal/experiments"
-	"vmwild/internal/fault"
 	"vmwild/internal/fsx"
 	"vmwild/internal/migration"
 	"vmwild/internal/monitor"
@@ -40,18 +38,12 @@ const (
 	EvaluationHours = workload.EvaluationHours
 	// HorizonHours is the full generated horizon.
 	HorizonHours = workload.HorizonHours
-	// DefaultIntervalHours is the dynamic consolidation interval.
-	DefaultIntervalHours = core.DefaultIntervalHours
 	// DefaultReservation is the live-migration resource reservation.
 	DefaultReservation = migration.DefaultReservation
 )
 
 // Core data types, re-exported from the implementation packages.
 type (
-	// Usage is one demand sample (CPU in RPE2 units, memory in MB).
-	Usage = trace.Usage
-	// Series is a fixed-step demand time series.
-	Series = trace.Series
 	// Spec is a machine's capacity.
 	Spec = trace.Spec
 	// ServerID names a monitored server.
@@ -70,12 +62,6 @@ type (
 	Plan = core.Plan
 	// PlanInput is the planner input.
 	PlanInput = core.Input
-	// DemandMatrix is the dynamic planner's walk-forward sizing, fully
-	// materialized for sharing across plans (see SizeDynamicDemands).
-	DemandMatrix = core.DemandMatrix
-	// CorrFunc is a pairwise demand-correlation function consumed by the
-	// stochastic packer.
-	CorrFunc = placement.CorrFunc
 	// ReplayResult is the emulator's replay outcome.
 	ReplayResult = emulator.Result
 	// Placement is a mutable assignment of VMs to hosts.
@@ -96,12 +82,7 @@ type (
 	OlioResult         = experiments.OlioResult
 	MigrationPoint     = experiments.MigrationPoint
 	VerificationResult = experiments.VerificationResult
-	IntervalPoint      = experiments.IntervalPoint
-	PredictorPoint     = experiments.PredictorPoint
-	MechanismRow       = experiments.MechanismRow
 	ExecutionRow       = experiments.ExecutionRow
-	BladeRow           = experiments.BladeRow
-	FailureRow         = experiments.FailureRow
 )
 
 // The four study data centers (Table 2).
@@ -117,10 +98,6 @@ func Profiles() []*Profile { return workload.Profiles() }
 // 160 RPE2/GB).
 func HS23Elite() HostModel { return catalog.HS23Elite }
 
-// HS23Standard is the same blade without the memory extension (64 GB,
-// 320 RPE2/GB) — the Observation 3 contrast.
-func HS23Standard() HostModel { return catalog.HS23Standard }
-
 // Generate synthesizes hourly demand traces for a profile. The same
 // (profile, hours, seed) triple always produces identical traces.
 func Generate(p *Profile, hours int, seed int64) (*TraceSet, error) {
@@ -133,17 +110,14 @@ type ProfileTemplate = workload.Template
 // ProfileFromTemplate expands a template into a full workload profile.
 func ProfileFromTemplate(t ProfileTemplate) (*Profile, error) { return workload.FromTemplate(t) }
 
-// WriteProfileJSON serializes a workload profile (custom estates as data).
-func WriteProfileJSON(w io.Writer, p *Profile) error { return workload.WriteProfileJSON(w, p) }
-
 // ReadProfileJSON loads a workload profile, resolving hardware models
 // against the default catalog.
 func ReadProfileJSON(r io.Reader) (*Profile, error) {
 	return workload.ReadProfileJSON(r, catalog.Default())
 }
 
-// WriteTraceCSV persists a trace set as CSV (the cmd/tracegen layout); use
-// it to exchange traces with external tools.
+// WriteTraceCSV persists a trace set as CSV (the `vmwild tracegen` layout);
+// use it to exchange traces with external tools.
 func WriteTraceCSV(w io.Writer, set *TraceSet) error { return traceio.Write(w, set) }
 
 // ReadTraceCSV loads a trace set from CSV in the same layout — the entry
@@ -155,31 +129,12 @@ func ReadTraceCSV(r io.Reader, name string) (*TraceSet, error) { return traceio.
 // SemiStatic returns the vanilla semi-static planner (peak sizing + FFD).
 func SemiStatic() Planner { return core.SemiStatic{} }
 
-// Static returns the classical one-time consolidation planner.
-func Static() Planner { return core.Static{} }
-
 // Stochastic returns the correlation-aware PCP-style planner.
 func Stochastic() Planner { return core.Stochastic{} }
 
 // Dynamic returns the dynamic consolidation planner (2-hour intervals, live
 // migration with a 20% reservation).
 func Dynamic() Planner { return core.Dynamic{} }
-
-// SizeDynamicDemands precomputes the dynamic planner's Predict + Size walk:
-// the per-interval reservation of every server across the evaluation
-// window. Attach the result via PlanInput.Demands to let many dynamic plans
-// over the same traces (different bounds, host models, constraints) share
-// one prediction pass — planning output is identical either way.
-func SizeDynamicDemands(in PlanInput) (*DemandMatrix, error) {
-	return core.SizeDynamicDemands(in)
-}
-
-// NewSharedCorrelation precomputes the stochastic planner's interval-peak
-// correlation function over a monitoring set, with a memo that is safe to
-// share across concurrent plans. Attach it via PlanInput.Correlations.
-func NewSharedCorrelation(set *TraceSet, intervalHours int) (CorrFunc, error) {
-	return core.NewSharedCorrelation(set, intervalHours)
-}
 
 // Deployment constraints (Section 2.2.4 of the paper).
 type (
@@ -190,21 +145,8 @@ type (
 	ConstraintSet = constraints.Set
 )
 
-// SameHost binds the given VMs to one physical host.
-func SameHost(vms ...ServerID) Constraint { return constraints.SameHost{Group: vms} }
-
 // AntiAffinity forbids any two of the given VMs from sharing a host.
 func AntiAffinity(vms ...ServerID) Constraint { return constraints.AntiAffinity{Group: vms} }
-
-// PinHost pins one VM to one host.
-func PinHost(vm ServerID, host string) Constraint {
-	return constraints.PinHost{VM: vm, Host: host}
-}
-
-// AvoidHost excludes one VM from one host.
-func AvoidHost(vm ServerID, host string) Constraint {
-	return constraints.AvoidHost{VM: vm, Host: host}
-}
 
 // SameRack binds the given VMs to one rack (the paper's subnet affinity).
 func SameRack(vms ...ServerID) Constraint { return constraints.SameRack{Group: vms} }
@@ -215,8 +157,6 @@ type (
 	MigrationConfig = migration.Config
 	// MigrationResult is one simulated migration's outcome.
 	MigrationResult = migration.Result
-	// MigrationCost is a planner-facing migration cost estimate.
-	MigrationCost = migration.Cost
 )
 
 // DefaultMigrationConfig returns the pre-copy model calibrated to published
@@ -235,12 +175,6 @@ func MigrationReliable(cpuUtil, memUtil float64) bool {
 	return migration.Reliable(cpuUtil, memUtil)
 }
 
-// EstimateMigrationCost predicts the transfer volume and duration of
-// migrating a VM with the given active memory and CPU activity.
-func EstimateMigrationCost(memMB, cpuUtil float64, cfg MigrationConfig) (MigrationCost, error) {
-	return migration.EstimateCost(memMB, cpuUtil, cfg)
-}
-
 // Consolidation advisor (the paper's Section 8 conclusion: analyze before
 // consolidating).
 type (
@@ -249,17 +183,6 @@ type (
 	Recommendation = advisor.Recommendation
 	// AdvisorConfig tunes the advisor's decision thresholds.
 	AdvisorConfig = advisor.Config
-	// WorkloadAttributes are the advisor's decision inputs.
-	WorkloadAttributes = advisor.Attributes
-	// Mode is a recommended consolidation mode.
-	Mode = advisor.Mode
-)
-
-// Recommendation modes.
-const (
-	ModeSemiStatic = advisor.ModeSemiStatic
-	ModeStochastic = advisor.ModeStochastic
-	ModeDynamic    = advisor.ModeDynamic
 )
 
 // Advise analyzes a monitoring window and recommends a consolidation mode,
@@ -267,12 +190,6 @@ const (
 // consolidation, bursty predictable CPU-bound estates get dynamic.
 func Advise(set *TraceSet, cfg AdvisorConfig) (Recommendation, error) {
 	return advisor.Advise(set, cfg)
-}
-
-// MeasureWorkload computes the advisor's decision attributes without
-// deciding.
-func MeasureWorkload(set *TraceSet, cfg AdvisorConfig) (WorkloadAttributes, error) {
-	return advisor.Measure(set, cfg)
 }
 
 // Execution step (Section 2.1): turning placement changes into feasible
@@ -290,42 +207,6 @@ type (
 // migration per host, eight per fabric, gigabit pre-copy).
 func DefaultExecutorConfig() ExecutorConfig { return executor.DefaultConfig() }
 
-// Fault-tolerant execution: deterministic fault injection and the
-// degraded-execution path behind the paper's Section 1.2 adoption concern.
-type (
-	// FaultConfig parameterizes the deterministic fault model; the zero
-	// value injects nothing.
-	FaultConfig = fault.Config
-	// FaultInjector answers fault questions as a pure function of
-	// (seed, identity); a nil injector injects nothing.
-	FaultInjector = fault.Injector
-	// FaultOutcome classifies one attempted live migration.
-	FaultOutcome = fault.Outcome
-	// MigrationExecution reports what a schedule actually did under the
-	// fault model: completed moves, aborted moves, realized placement.
-	MigrationExecution = executor.Execution
-	// ControllerMoveStats is the per-interval migration accounting.
-	ControllerMoveStats = controller.MoveStats
-)
-
-// Fault outcomes.
-const (
-	MigrationOK      = fault.OK
-	MigrationStalled = fault.Stalled
-	MigrationFailed  = fault.Failed
-)
-
-// NewFaultInjector validates the configuration and builds an injector.
-func NewFaultInjector(cfg FaultConfig) (*FaultInjector, error) { return fault.New(cfg) }
-
-// ExecuteTransition diffs two placements and executes the moves under the
-// executor config's fault model: failed attempts retry with exponential
-// backoff up to the retry budget, exhausted moves abort, and the returned
-// execution's Final placement is where re-planning must start from.
-func ExecuteTransition(from, to *Placement, cfg ExecutorConfig) (*MigrationExecution, []MigrationMove, error) {
-	return executor.ExecuteTransition(from, to, cfg)
-}
-
 // ScheduleTransition plans the migrations that turn one placement into
 // another, respecting capacity at every intermediate state.
 func ScheduleTransition(from, to *Placement, cfg ExecutorConfig) (*MigrationSchedule, []MigrationMove, error) {
@@ -342,20 +223,27 @@ func DrainHost(p *Placement, host string, cfg ExecutorConfig) (*MigrationSchedul
 // agents stream the Table 1 metric set over TCP to a central warehouse that
 // aggregates it into the hourly series the planners consume. The wire has
 // one dialect: acked binary frames of sample records, sent by
-// ReliableSender (which MonitorAgent wraps).
+// ReliableSender.
 type (
 	// MonitorSample is one Table 1 observation.
 	MonitorSample = monitor.Sample
 	// MonitorSource produces samples for one server.
 	MonitorSource = monitor.Source
-	// MonitorAgent is the per-server collector, a ReliableSender fed on
-	// a ticker.
-	MonitorAgent = monitor.Agent
 	// Warehouse is the central monitoring store. OpenWarehouseLog makes
 	// it durable; its Snapshot writes the binary sample form the journal's
 	// lane checkpoints use, as a shard-count-independent byte image for
 	// comparing two stores.
 	Warehouse = monitor.Warehouse
+	// ReliableSender ships samples as sequenced, CRC'd, acknowledged
+	// binary frames with exactly-once accounting; it is the one way to
+	// send samples to a warehouse over the network.
+	ReliableSender = monitor.ReliableSender
+	// SenderCounters is the sender's reconciliation ledger: Queued ==
+	// Acked + ServerShed + DroppedQueue + Pending at quiescence.
+	SenderCounters = monitor.SenderCounters
+	// WarehouseMetrics is the warehouse's operational counter set
+	// (connections, shed ingest, corrupt frames, per-shard detail).
+	WarehouseMetrics = monitor.Metrics
 )
 
 // DefaultIngestShards is the warehouse's default shard count.
@@ -380,6 +268,22 @@ func NewTraceSource(st *ServerTrace, epoch time.Time, seed int64) (MonitorSource
 	return monitor.NewTraceSource(st, epoch, seed)
 }
 
+// Warehouse query protocol: how remote planners pull aggregated series.
+type (
+	// QueryServer exposes a warehouse over the TCP query protocol.
+	QueryServer = monitor.QueryServer
+	// QueryClient is the planner-side client of the query protocol.
+	QueryClient = monitor.QueryClient
+)
+
+// NewQueryServer wraps a warehouse in a query server.
+func NewQueryServer(w *Warehouse) *QueryServer { return monitor.NewQueryServer(w) }
+
+// DialQuery connects to a warehouse query server.
+func DialQuery(ctx context.Context, addr string) (*QueryClient, error) {
+	return monitor.DialQuery(ctx, addr)
+}
+
 // Runtime controller: the live dynamic-consolidation loop of the paper's
 // deployed systems [25, 28].
 type (
@@ -388,18 +292,7 @@ type (
 	Controller = controller.Controller
 	// ControllerConfig assembles a controller.
 	ControllerConfig = controller.Config
-	// ControllerTick reports one completed interval.
-	ControllerTick = controller.Tick
-	// FetchFunc supplies monitoring history to the controller.
-	FetchFunc = controller.FetchFunc
 )
-
-// ErrInsufficientHistory is returned by the controller during warm-up.
-var ErrInsufficientHistory = controller.ErrInsufficientHistory
-
-// ErrCircuitOpen is reported by Controller.Run when the configured number
-// of consecutive interval failures trips its circuit breaker.
-var ErrCircuitOpen = controller.ErrCircuitOpen
 
 // NewController builds a runtime consolidation controller.
 func NewController(cfg ControllerConfig) (*Controller, error) { return controller.New(cfg) }
@@ -421,16 +314,11 @@ type (
 	// ControllerJournal makes the consolidation loop crash-safe: intent,
 	// per-move outcomes and committed placements survive restarts.
 	ControllerJournal = controller.Journal
-	// ControllerRecovery is the state a controller journal reconstructed.
-	ControllerRecovery = controller.Recovery
 )
 
-// WAL fsync policies.
-const (
-	SyncAlways   = wal.SyncAlways
-	SyncInterval = wal.SyncInterval
-	SyncNever    = wal.SyncNever
-)
+// SyncInterval fsyncs the WAL at most once per WALOptions.SyncEvery: a crash
+// loses at most the last unsynced window.
+const SyncInterval = wal.SyncInterval
 
 // ParseSyncPolicy maps "always", "interval" or "never" to a SyncPolicy.
 func ParseSyncPolicy(s string) (SyncPolicy, error) { return wal.ParseSyncPolicy(s) }
@@ -450,13 +338,12 @@ func OpenControllerJournal(dir string, opts WALOptions) (*ControllerJournal, err
 }
 
 // Storage fault layer: the filesystem abstraction the durable paths run
-// on, and its seeded fault injector — the disk-side counterpart of the
-// network chaos proxy. Production code runs on OSFS; tests and the disk
-// chaos wall run on a FaultFS whose every fault is a pure function of
-// (seed, operation, path, call index).
+// on, and its seeded fault injector. Production code runs on OSFS; tests
+// and the disk chaos wall run on a FaultFS whose every fault is a pure
+// function of (seed, operation, path, call index).
 type (
 	// FS is the filesystem surface of the durable paths (WAL segments,
-	// journals, checkpoints, snapshots). Set WALOptions.FS to substitute.
+	// journals, checkpoints). Set WALOptions.FS to substitute.
 	FS = fsx.FS
 	// FSFile is one open file on an FS.
 	FSFile = fsx.File
@@ -468,30 +355,11 @@ type (
 	// FaultProfile parameterizes a FaultFS; the zero value injects
 	// nothing.
 	FaultProfile = fsx.Profile
-	// FSCounters snapshots what a FaultFS did and injected.
-	FSCounters = fsx.Counters
 )
 
 // OSFS is the production filesystem: a stateless passthrough to the os
 // package.
 var OSFS = fsx.OS
-
-// Typed storage failure conditions, distinguished because their operator
-// responses differ.
-var (
-	// ErrDiskFull is disk-out-of-space, injected or real: retryable once
-	// space frees. The warehouse sheds ingest (clients keep their samples)
-	// instead of acking what it cannot store.
-	ErrDiskFull = wal.ErrDiskFull
-	// ErrPoisoned marks a WAL segment whose fsync failed: the kernel may
-	// have dropped the dirty pages, so the unsynced suffix is doubtful and
-	// is never acknowledged again. The log truncates to the durable
-	// watermark and rotates.
-	ErrPoisoned = wal.ErrPoisoned
-	// ErrCorruptRecord is damage found at rest during recovery; the log
-	// refuses to silently skip acknowledged records.
-	ErrCorruptRecord = wal.ErrCorruptRecord
-)
 
 // NewFaultFS wraps base (nil means OSFS) in a seeded fault injector.
 // Paths are keyed relative to root, so a schedule is independent of where
@@ -504,10 +372,6 @@ func NewFaultFS(base FS, root string, seed int64, p FaultProfile) (*FaultFS, err
 // "flaky", "corrupt", "enospc:<bytes>") to a FaultProfile.
 func ParseFaultProfile(s string) (FaultProfile, error) { return fsx.ParseProfile(s) }
 
-// IsNoSpace reports whether err is a disk-full condition, injected
-// (ErrDiskFull) or real (ENOSPC from the kernel).
-func IsNoSpace(err error) bool { return fsx.IsNoSpace(err) }
-
 // Scenario harness: named end-to-end simulations that drive the full
 // controller/executor/monitor stack through scripted events (demand
 // surges, maintenance drains, rack outages, hardware swaps) and grade the
@@ -518,28 +382,11 @@ type (
 	// Scenario is one named end-to-end simulation: turns that mutate the
 	// world, checkpoints that grade it.
 	Scenario = scenario.Scenario
-	// ScenarioTurn is one phase of a scenario.
-	ScenarioTurn = scenario.Turn
-	// ScenarioCheckpoint is a hard pass/fail assertion over a turn.
-	ScenarioCheckpoint = scenario.Checkpoint
-	// ScenarioCheck is the state a checkpoint assertion inspects.
-	ScenarioCheck = scenario.Check
-	// ScenarioWorld is the mutable simulation state turn actions act on.
-	ScenarioWorld = scenario.World
 	// ScenarioOptions tunes one run (seed override, metric sinks, soak
 	// state directory).
 	ScenarioOptions = scenario.Options
 	// ScenarioResult is a graded run: per-turn metrics plus checkpoints.
 	ScenarioResult = scenario.Result
-	// ScenarioTurnMetrics aggregates one turn's intervals.
-	ScenarioTurnMetrics = scenario.TurnMetrics
-	// ScenarioIntervalMetrics measures one consolidation interval.
-	ScenarioIntervalMetrics = scenario.IntervalMetrics
-	// ScenarioCheckpointResult is one graded checkpoint.
-	ScenarioCheckpointResult = scenario.CheckpointResult
-	// ScenarioSoakConfig routes a scenario through the durable
-	// warehouse+journal stack.
-	ScenarioSoakConfig = scenario.SoakConfig
 )
 
 // Scenarios returns a fresh instance of every named scenario, sorted by
@@ -556,100 +403,10 @@ func RunScenario(s *Scenario, opts ScenarioOptions) (*ScenarioResult, error) {
 	return scenario.Run(s, opts)
 }
 
-// Overload protection and network chaos: the serving plane's robustness
-// surface. The warehouse gates connections and sheds over-budget ingest
-// through a token bucket (every refusal counted, never silent), the
-// reliable sender ships CRC'd acked frames whose counters reconcile
-// exactly against the warehouse's books, and the chaos proxy injects
-// seeded network faults to prove all of it under fire — the chaos wall in
-// internal/scenario runs the drills as tests.
-type (
-	// ChaosConfig parameterizes the seeded TCP fault proxy; the zero value
-	// (plus a seed) forwards transparently.
-	ChaosConfig = chaos.Config
-	// ChaosProxy is a TCP proxy that injects latency, corruption,
-	// truncation, resets and partitions, all as pure functions of
-	// (seed, connection, direction, chunk).
-	ChaosProxy = chaos.Proxy
-	// ChaosStats counts what a proxy did to the traffic.
-	ChaosStats = chaos.Stats
-	// ReliableSender ships samples as sequenced, CRC'd, acknowledged
-	// binary frames with exactly-once accounting; it is the one way to
-	// send samples to a warehouse over the network.
-	ReliableSender = monitor.ReliableSender
-	// SenderCounters is the sender's reconciliation ledger: Queued ==
-	// Acked + ServerShed + DroppedQueue + Pending at quiescence.
-	SenderCounters = monitor.SenderCounters
-	// WarehouseMetrics is the warehouse's operational counter set
-	// (connections, shed ingest, corrupt frames, per-shard detail).
-	WarehouseMetrics = monitor.Metrics
-	// WarehouseShardMetrics is one ingest shard's slice of the metrics.
-	WarehouseShardMetrics = monitor.ShardMetrics
-	// QueryServerMetrics counts the query server's admission decisions.
-	QueryServerMetrics = monitor.QueryMetrics
-	// ResilienceScenario is one chaos-wall drill: the real serving stack
-	// driven through fault proxies, graded on timing-free invariants.
-	ResilienceScenario = scenario.ResilienceScenario
-	// DiskScenario is one disk-chaos drill: the WAL/journal/snapshot stack
-	// driven over a seeded fault-injecting filesystem, graded on
-	// durability invariants (acks honest, replay == acked, byte-identical
-	// recovery).
-	DiskScenario = scenario.DiskScenario
-)
-
-// NewChaosProxy validates the configuration and builds a fault proxy in
-// front of upstream; Listen starts it.
-func NewChaosProxy(cfg ChaosConfig, upstream string) (*ChaosProxy, error) {
-	return chaos.New(cfg, upstream)
-}
-
-// ResilienceScenarios returns the chaos-wall drills in wall order.
-func ResilienceScenarios() []*ResilienceScenario { return scenario.Resilience() }
-
-// ResilienceByID finds one chaos-wall drill.
-func ResilienceByID(id string) (*ResilienceScenario, error) { return scenario.GetResilience(id) }
-
-// DiskScenarios returns the disk-chaos drills in wall order.
-func DiskScenarios() []*DiskScenario { return scenario.DiskChaos() }
-
-// DiskScenarioByID finds one disk-chaos drill.
-func DiskScenarioByID(id string) (*DiskScenario, error) { return scenario.GetDiskChaos(id) }
-
-// Warehouse query protocol: how remote planners pull aggregated series.
-type (
-	// QueryServer exposes a warehouse over the TCP query protocol.
-	QueryServer = monitor.QueryServer
-	// QueryClient is the planner-side client of the query protocol.
-	QueryClient = monitor.QueryClient
-)
-
-// NewQueryServer wraps a warehouse in a query server.
-func NewQueryServer(w *Warehouse) *QueryServer { return monitor.NewQueryServer(w) }
-
-// DialQuery connects to a warehouse query server.
-func DialQuery(ctx context.Context, addr string) (*QueryClient, error) {
-	return monitor.DialQuery(ctx, addr)
-}
-
-// Reads beyond the series: raw ranges and server-side advice.
-type (
-	// RangePoint is one raw sample in a range query result.
-	RangePoint = monitor.RangePoint
-	// AdviseRequest parameterizes a server-side consolidation
-	// recommendation (the op:"advise" query).
-	AdviseRequest = monitor.AdviseRequest
-	// Advice is the advise query's result: recommended mode, measured
-	// attributes, and the recommended planner's placement headline.
-	Advice = monitor.Advice
-)
-
 // Deprecated: there is no replica layer; every read is served from the
-// live shards. ReplicaConfig, ReplicaMetrics and the two defaults remain
-// for callers built against it, and configure nothing.
-type (
-	ReplicaConfig  = monitor.ReplicaConfig
-	ReplicaMetrics = monitor.ReplicaMetrics
-)
+// live shards. ReplicaConfig and the two defaults remain for callers built
+// against it, and configure nothing.
+type ReplicaConfig = monitor.ReplicaConfig
 
 // Deprecated: see ReplicaConfig.
 const (
